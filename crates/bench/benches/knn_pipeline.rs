@@ -4,7 +4,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use knn::{
     block, cpu_select_parallel, cpu_select_serial, distance_matrix, knn_search,
-    knn_search_streamed, PointSet,
+    knn_search_streamed_parallel, PointSet,
 };
 use kselect::{QueueKind, SelectConfig};
 use rand::{Rng, SeedableRng};
@@ -68,11 +68,12 @@ fn bench_pipeline(c: &mut Criterion) {
     g.bench_function("end_to_end_streamed_merge_k64_tile1024", |b| {
         let cfg = SelectConfig::optimized(QueueKind::Merge, 64);
         b.iter(|| {
-            black_box(knn_search_streamed(
+            black_box(knn_search_streamed_parallel(
                 black_box(&queries),
                 black_box(&refs),
                 &cfg,
                 1024,
+                1,
             ))
         })
     });

@@ -21,11 +21,11 @@
 //!   (`knn::block::squared_distances`), counting 2·Q·N·dim flops;
 //! * `pipeline.*_qps` — end-to-end queries/second of the materialized
 //!   (full Q×N matrix, then per-row selection) and tile-streamed
-//!   (`knn_search_streamed`, or the work-stealing parallel variant when
-//!   `--threads` ≠ 1) paths, which are asserted to return identical
-//!   neighbors before any number is written;
+//!   (`knn_search_streamed_parallel` on `--threads` workers) paths,
+//!   which are asserted to return identical neighbors before any number
+//!   is written;
 //! * `*_peak_distance_bytes` — the distance-buffer working set of each
-//!   path: Q·N·4 materialized vs workers·Q_BLOCK·min(tile, N)·4 streamed;
+//!   path: Q·N·4 materialized vs workers·min(tile, N)·4 streamed;
 //! * with `--sweep-tiles`, `tile_sweep[]` — streamed QPS per tile size
 //!   in {1024, 2048, 4096, 8192} (clamped to N), plus `best_tile`, the
 //!   sweep's QPS argmax. Each tile length is timed exactly once per
@@ -295,16 +295,9 @@ fn main() {
     if !measure_tiles.contains(&tile) {
         measure_tiles.insert(0, tile);
     }
-    // Distance-scratch working set of the streamed path: the sequential
-    // pipeline fills a Q×tile buffer, the parallel one holds a
-    // QUERY_BLOCK×tile buffer per worker.
-    let streamed_peak = |t: usize| -> u64 {
-        if workers > 1 {
-            (workers * block::QUERY_BLOCK.min(q.max(1)) * t * 4) as u64
-        } else {
-            (q * t * 4) as u64
-        }
-    };
+    // Distance-scratch working set of the streamed path: one tile-length
+    // row per worker.
+    let streamed_peak = |t: usize| -> u64 { (workers * t.min(n) * 4) as u64 };
     let mut measured: Vec<TileSweepEntry> = Vec::new();
     for &t in &measure_tiles {
         let metric = if t == tile {
@@ -344,17 +337,11 @@ fn main() {
     let (utilization, imbalance) = if workers > 1 {
         let rec = trace::TimelineRecorder::new(workers);
         let tl = knn::metered::TimelineObserver::new(&rec);
-        let nb = knn::metered::knn_search_streamed_parallel_instrumented(
-            &queries,
-            &refs,
-            &cfg,
-            tile,
-            workers,
-            &trace::NullJournal,
-            None,
-            "wallclock",
-            &tl,
-        );
+        let ins = knn::Instruments {
+            timeline: Some(&tl),
+            ..knn::Instruments::default()
+        };
+        let nb = knn::knn_search_streamed_instrumented(&queries, &refs, &cfg, tile, workers, &ins);
         assert_eq!(
             nb, mat_neighbors,
             "instrumented streamed pipeline disagrees with the materialized oracle"

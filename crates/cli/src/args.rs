@@ -244,7 +244,7 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
         }
     };
     // Worker threads of the native distance/select pipeline: 1 (default)
-    // is the sequential path, 0 resolves to the machine's parallelism at
+    // runs on the calling thread, 0 resolves to the machine's parallelism at
     // runtime (`RAYON_NUM_THREADS`, else available cores).
     let threads = |flags: &HashMap<String, String>| -> Result<usize, String> {
         flags
@@ -553,10 +553,10 @@ journaled outcome; the run exits 2 if any request goes unaccounted.
 --json prints a one-line machine-readable summary to stdout.
 
 --threads T (on search/bench/stats/serve) sets the worker-thread count
-of the native distance/select pipeline: 1 (default) runs the sequential
-path, 0 auto-detects (RAYON_NUM_THREADS, else available cores). Results
-are identical at every thread count — the parallel pipeline merges
-tiles per query in the sequential order. Instrumented commands report
+of the native distance/select pipeline: 1 (default) runs on the calling
+thread, 0 auto-detects (RAYON_NUM_THREADS, else available cores).
+Results are identical at every thread count — every worker merges
+tiles per query in ascending order. Instrumented commands report
 the active SIMD kernel (`simd_dispatch`: avx2+fma or scalar8; override
 with KNN_SIMD=scalar) alongside the thread count.
 
@@ -890,7 +890,7 @@ mod tests {
 
     #[test]
     fn threads_parses_on_all_native_commands() {
-        // default is 1 (sequential)
+        // default is 1 (one worker)
         match parse(&v(&["bench", "--n", "100", "--k", "4"])).unwrap() {
             Command::Bench { threads, .. } => assert_eq!(threads, 1),
             _ => panic!("wrong command"),

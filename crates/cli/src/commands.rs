@@ -3,7 +3,7 @@
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use knn::{knn_search_with, validate_points, Metric, PointSet};
+use knn::{validate_points, Metric, PointSet};
 use kselect::gpu::{gpu_select_k, DistanceMatrix, GpuResilience};
 use kselect::{select_k, KnnError, QueueKind, SelectConfig};
 use rand::{Rng, SeedableRng};
@@ -13,21 +13,36 @@ use trace::{EventJournal, Journal as _, JournalConfig, MetricsRegistry, QueryRec
 use crate::args::{Command, FaultPlanArgs, JournalArgs};
 use crate::io;
 
-/// Round k up to a valid Merge Queue capacity (m·2^j with m = 8) so the
-/// CLI accepts any k for any queue; extra entries are trimmed after
-/// selection.
+/// Round k up to a valid Merge Queue capacity (m·2^j with the fixed
+/// m = 8 of [`SelectConfig`]) so the CLI accepts any k for any queue;
+/// extra entries are trimmed after selection.
 fn padded_k(queue: QueueKind, k: usize) -> usize {
     match queue {
-        QueueKind::Merge => {
-            let m = 8usize.min(k.next_power_of_two());
-            let mut kk = m;
-            while kk < k {
-                kk *= 2;
-            }
-            kk
-        }
+        QueueKind::Merge => k.next_power_of_two().max(8),
         _ => k,
     }
+}
+
+/// [`padded_k`] checked against the `n` candidates it selects from. A
+/// zero k, or a padded k larger than `n`, prints the typed
+/// [`KnnError::InvalidK`] and returns `None` (the caller exits 1)
+/// instead of panicking inside the queue.
+fn checked_padded_k(queue: QueueKind, k: usize, n: usize) -> Option<usize> {
+    let kk = padded_k(queue, k);
+    if k > 0 && kk <= n {
+        return Some(kk);
+    }
+    let e = KnnError::InvalidK {
+        k: if k == 0 { 0 } else { kk },
+        n,
+    };
+    let padded = if k > 0 && kk != k {
+        format!(" (k = {k} padded to {kk} for the {queue:?} queue)")
+    } else {
+        String::new()
+    };
+    eprintln!("error: {}: {e}{padded}", e.name());
+    None
 }
 
 /// Write a metrics snapshot to `path`: OpenMetrics text exposition by
@@ -229,18 +244,16 @@ pub fn run(cmd: Command) -> i32 {
                     return 1;
                 }
             };
-            if k == 0 || k > refs.len() {
-                let e = KnnError::InvalidK { k, n: refs.len() };
-                eprintln!("error: {}: {e}", e.name());
+            let Some(kk) = checked_padded_k(queue, k, refs.len()) else {
                 return 1;
-            }
+            };
             for (pts, label) in [(&queries, "query"), (&refs, "reference")] {
                 if let Err(e) = validate_points(pts, label) {
                     eprintln!("error: {}: {e}", e.name());
                     return 1;
                 }
             }
-            let cfg = SelectConfig::optimized(queue, padded_k(queue, k));
+            let cfg = SelectConfig::optimized(queue, kk);
             let registry = metrics_out.as_ref().map(|_| MetricsRegistry::new());
             let jn = make_journal(&journal);
             let workers = knn::resolve_threads(threads);
@@ -258,74 +271,18 @@ pub fn run(cmd: Command) -> i32 {
                 .as_ref()
                 .map(|_| trace::TimelineRecorder::new(workers));
             let tlo = tl_rec.as_ref().map(knn::metered::TimelineObserver::new);
+            let ins = knn::Instruments {
+                registry: registry.as_ref(),
+                journal: jn.as_ref().map(|j| j as &dyn trace::Journal),
+                timeline: tlo.as_ref(),
+                tag: "search",
+            };
             let t0 = Instant::now();
             let mut results = if parallel {
                 let tile = knn::DEFAULT_STREAM_TILE;
-                if let Some(tl) = &tlo {
-                    match &jn {
-                        Some(j) => knn::metered::knn_search_streamed_parallel_instrumented(
-                            &queries,
-                            &refs,
-                            &cfg,
-                            tile,
-                            workers,
-                            j,
-                            registry.as_ref(),
-                            "search",
-                            tl,
-                        ),
-                        None => knn::metered::knn_search_streamed_parallel_instrumented(
-                            &queries,
-                            &refs,
-                            &cfg,
-                            tile,
-                            workers,
-                            &trace::NullJournal,
-                            registry.as_ref(),
-                            "search",
-                            tl,
-                        ),
-                    }
-                } else {
-                    match (&jn, &registry) {
-                        (Some(j), reg) => knn::metered::knn_search_streamed_parallel_journaled(
-                            &queries,
-                            &refs,
-                            &cfg,
-                            tile,
-                            workers,
-                            j,
-                            reg.as_ref(),
-                            "search",
-                        ),
-                        (None, Some(reg)) => knn::metered::knn_search_streamed_parallel_metered(
-                            &queries, &refs, &cfg, tile, workers, reg,
-                        ),
-                        (None, None) => {
-                            knn::knn_search_streamed_parallel(&queries, &refs, &cfg, tile, workers)
-                        }
-                    }
-                }
+                knn::knn_search_streamed_instrumented(&queries, &refs, &cfg, tile, workers, &ins)
             } else {
-                let run = || match (&jn, &registry) {
-                    (Some(j), reg) => knn::metered::knn_search_with_journaled(
-                        &queries,
-                        &refs,
-                        &cfg,
-                        metric,
-                        j,
-                        reg.as_ref(),
-                        "search",
-                    ),
-                    (None, Some(reg)) => {
-                        knn::metered::knn_search_with_metered(&queries, &refs, &cfg, metric, reg)
-                    }
-                    (None, None) => knn_search_with(&queries, &refs, &cfg, metric),
-                };
-                match &tlo {
-                    Some(tl) => tl.service(0, 0, run),
-                    None => run(),
-                }
+                knn::knn_search_with_instrumented(&queries, &refs, &cfg, metric, &ins)
             };
             for r in &mut results {
                 r.truncate(k);
@@ -398,7 +355,9 @@ pub fn run(cmd: Command) -> i32 {
             );
             let mut rng = rand::rngs::StdRng::seed_from_u64(1);
             let dists: Vec<f32> = (0..n).map(|_| rng.gen()).collect();
-            let kk = padded_k(queue, k);
+            let Some(kk) = checked_padded_k(queue, k, n) else {
+                return 1;
+            };
             let registry = metrics_out.as_ref().map(|_| MetricsRegistry::new());
             let jn = make_journal(&journal);
             // The bench is single-threaded, so its timeline is one
@@ -520,7 +479,9 @@ pub fn run(cmd: Command) -> i32 {
             let flat: Vec<f32> = (0..32 * n).map(|_| rng.gen()).collect();
             let dm = DistanceMatrix::from_row_major(&flat, 32, n);
             let tm = TimingModel::tesla_c2075();
-            let kk = padded_k(queue, k);
+            let Some(kk) = checked_padded_k(queue, k, n) else {
+                return 1;
+            };
             println!("simulated Tesla C2075, one warp (32 queries), n={n} k={k}\n");
             let reports: Vec<simt::KernelReport> = [
                 ("plain", SelectConfig::plain(queue, kk)),
@@ -550,7 +511,10 @@ pub fn run(cmd: Command) -> i32 {
             let refs = PointSet::uniform(n, DIM, 11);
             let qs = PointSet::uniform(queries, DIM, 12);
             let tm = TimingModel::tesla_c2075();
-            let cfg = SelectConfig::optimized(queue, padded_k(queue, k));
+            let Some(kk) = checked_padded_k(queue, k, n) else {
+                return 1;
+            };
+            let cfg = SelectConfig::optimized(queue, kk);
             let mut tracer = trace::Tracer::new();
             let res = knn::gpu_knn_traced(&tm, &qs, &refs, &cfg, &mut tracer);
             println!(
@@ -701,7 +665,12 @@ fn run_stats(
         .as_ref()
         .map(|_| trace::TimelineRecorder::new(workers));
     let tlo = tl_rec.as_ref().map(knn::metered::TimelineObserver::new);
-    let mut sweep_idx = 0u64;
+    let ins = knn::Instruments {
+        registry: Some(&reg),
+        journal: jn.as_ref().map(|j| j as &dyn trace::Journal),
+        timeline: tlo.as_ref(),
+        tag: "stats",
+    };
     println!(
         "native streamed pipeline: {queries} queries × {n} refs (dim {dim}, k={k}) \
          [kernel {}, threads {workers}]\n",
@@ -720,81 +689,7 @@ fn run_stats(
         let cfg = SelectConfig::optimized(kind, kk);
         for tile in STATS_TILES {
             let t0 = Instant::now();
-            let out = if let Some(tl) = &tlo {
-                if workers > 1 {
-                    match &jn {
-                        Some(j) => knn::metered::knn_search_streamed_parallel_instrumented(
-                            &qs,
-                            &refs,
-                            &cfg,
-                            tile,
-                            workers,
-                            j,
-                            Some(&reg),
-                            "stats",
-                            tl,
-                        ),
-                        None => knn::metered::knn_search_streamed_parallel_instrumented(
-                            &qs,
-                            &refs,
-                            &cfg,
-                            tile,
-                            workers,
-                            &trace::NullJournal,
-                            Some(&reg),
-                            "stats",
-                            tl,
-                        ),
-                    }
-                } else {
-                    // Sequential sweeps get one service span per
-                    // combination on track 0 (see the single-worker
-                    // note on the instrumented entry point).
-                    tl.service(0, sweep_idx, || match &jn {
-                        Some(j) => knn::metered::knn_search_streamed_journaled(
-                            &qs,
-                            &refs,
-                            &cfg,
-                            tile,
-                            j,
-                            Some(&reg),
-                            "stats",
-                        ),
-                        None => {
-                            knn::metered::knn_search_streamed_metered(&qs, &refs, &cfg, tile, &reg)
-                        }
-                    })
-                }
-            } else {
-                match (&jn, workers > 1) {
-                    (Some(j), true) => knn::metered::knn_search_streamed_parallel_journaled(
-                        &qs,
-                        &refs,
-                        &cfg,
-                        tile,
-                        workers,
-                        j,
-                        Some(&reg),
-                        "stats",
-                    ),
-                    (Some(j), false) => knn::metered::knn_search_streamed_journaled(
-                        &qs,
-                        &refs,
-                        &cfg,
-                        tile,
-                        j,
-                        Some(&reg),
-                        "stats",
-                    ),
-                    (None, true) => knn::metered::knn_search_streamed_parallel_metered(
-                        &qs, &refs, &cfg, tile, workers, &reg,
-                    ),
-                    (None, false) => {
-                        knn::metered::knn_search_streamed_metered(&qs, &refs, &cfg, tile, &reg)
-                    }
-                }
-            };
-            sweep_idx += 1;
+            let out = knn::knn_search_streamed_instrumented(&qs, &refs, &cfg, tile, workers, &ins);
             let dt = t0.elapsed().as_secs_f64();
             std::hint::black_box(&out);
             println!(
@@ -858,7 +753,10 @@ fn run_faults(a: FaultArgs) -> i32 {
     let refs = PointSet::uniform(a.n, DIM, 11);
     let qs = PointSet::uniform(a.queries, DIM, 12);
     let tm = TimingModel::tesla_c2075();
-    let cfg = SelectConfig::optimized(a.queue, padded_k(a.queue, a.k));
+    let Some(kk) = checked_padded_k(a.queue, a.k, a.n) else {
+        return 1;
+    };
+    let cfg = SelectConfig::optimized(a.queue, kk);
     let oracle = knn::gpu_knn(&tm, &qs, &refs, &cfg);
     println!(
         "fault campaigns: {} seeds × ({} queries × {} refs, {:?}, k={}) \
@@ -1379,8 +1277,16 @@ mod tests {
         assert_eq!(padded_k(QueueKind::Merge, 8), 8);
         assert_eq!(padded_k(QueueKind::Merge, 9), 16);
         assert_eq!(padded_k(QueueKind::Merge, 100), 128);
-        assert_eq!(padded_k(QueueKind::Merge, 3), 4);
+        // SelectConfig fixes m = 8, so small k pads up to 8, never to
+        // a smaller power of two.
+        assert_eq!(padded_k(QueueKind::Merge, 3), 8);
+        assert_eq!(padded_k(QueueKind::Merge, 1), 8);
         assert_eq!(padded_k(QueueKind::Heap, 5), 5);
+        // a padded k past n, and k = 0, are typed errors
+        assert_eq!(checked_padded_k(QueueKind::Merge, 3, 8), Some(8));
+        assert_eq!(checked_padded_k(QueueKind::Merge, 3, 4), None);
+        assert_eq!(checked_padded_k(QueueKind::Heap, 3, 4), Some(3));
+        assert_eq!(checked_padded_k(QueueKind::Heap, 0, 4), None);
     }
 
     #[test]
@@ -1868,6 +1774,37 @@ mod tests {
         assert!(
             named.contains(&0) && named.contains(&1),
             "both worker tracks are named: {named:?}"
+        );
+    }
+
+    #[test]
+    fn stats_timeline_at_one_thread_records_block_lanes() {
+        let dir = std::env::temp_dir().join("knn_cli_timeline_1t");
+        std::fs::create_dir_all(&dir).unwrap();
+        let tl = dir.join("stats-timeline.json");
+        assert_eq!(
+            run_stats(
+                3000,
+                8,
+                8,
+                64,
+                1,
+                None,
+                Some(tl.clone()),
+                JournalArgs::default()
+            ),
+            0
+        );
+        let report =
+            trace::TimelineReport::from_json(&std::fs::read_to_string(&tl).unwrap()).unwrap();
+        // One worker runs the block loop inline: 3 queue kinds × 4
+        // tiles × 2 query blocks, all on the single lane.
+        assert_eq!(report.lanes.len(), 1);
+        assert_eq!(report.blocks_total, 24);
+        assert_eq!(report.lanes[0].blocks, 24);
+        assert_eq!(
+            report.lanes[0].busy_ns + report.lanes[0].idle_ns,
+            report.wall_ns
         );
     }
 

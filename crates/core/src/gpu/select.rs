@@ -43,30 +43,6 @@ impl DistanceMatrix {
         }
     }
 
-    /// Build from per-query rows (`rows[q][e]`).
-    #[deprecated(
-        since = "0.1.0",
-        note = "copies each row twice; build a flat row-major buffer and use `from_row_major` \
-                (or `from_flat` for already query-major data)"
-    )]
-    pub fn from_rows(rows: &[Vec<f32>]) -> Self {
-        let q = rows.len();
-        assert!(q > 0, "need at least one query");
-        let n = rows[0].len();
-        assert!(rows.iter().all(|r| r.len() == n), "ragged distance rows");
-        let mut data = vec![0.0f32; n * q];
-        for (qi, row) in rows.iter().enumerate() {
-            for (e, &v) in row.iter().enumerate() {
-                data[e * q + qi] = v;
-            }
-        }
-        DistanceMatrix {
-            buf: GlobalBuf::from_vec(data),
-            n,
-            q,
-        }
-    }
-
     /// Wrap an already query-major flat buffer (`data[e * q + qi]`).
     pub fn from_flat(data: Vec<f32>, n: usize, q: usize) -> Self {
         assert_eq!(data.len(), n * q);
@@ -273,10 +249,6 @@ mod tests {
             }
         }
         assert_eq!(dm.bytes(), 5 * 9 * 4);
-        // The deprecated rows-of-Vecs constructor stays equivalent.
-        #[allow(deprecated)]
-        let legacy = DistanceMatrix::from_rows(&rows);
-        assert_eq!(legacy.buf().as_slice(), dm.buf().as_slice());
     }
 
     #[test]

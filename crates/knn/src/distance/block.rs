@@ -16,17 +16,17 @@
 //! in the outer loop, so one tile of reference rows stays
 //! cache-resident while every query row in the slab streams over it —
 //! the reference set is read once per slab instead of once per
-//! [`QUERY_BLOCK`]. (The streamed pipelines still schedule work in
+//! [`QUERY_BLOCK`]. (The streamed pipeline still schedules work in
 //! `QUERY_BLOCK` units; only this materialising kernel is tile-outer.) The inner reduction is [`crate::distance::dot`] —
 //! [`crate::distance::LANES`] independent accumulators over
 //! `chunks_exact`, which autovectorizes — and is *the same function* the
 //! scalar [`crate::squared_distance`] uses, so blocked output equals the
 //! scalar reference bit for bit (property-tested).
 //!
-//! The tile-streamed search path ([`crate::pipeline::knn_search_streamed`])
-//! reuses the row primitives here to compute one reference tile at a
-//! time into a reused scratch buffer, never materialising the Q×N
-//! matrix.
+//! The tile-streamed search path
+//! ([`crate::pipeline::knn_search_streamed_parallel`]) reuses the row
+//! primitives here to compute one query × one reference tile at a time
+//! into a reused scratch row, never materialising the Q×N matrix.
 
 use rayon::prelude::*;
 

@@ -43,18 +43,14 @@ pub use eval::{ground_truth, mean_recall, recall_at_k};
 pub use graph::KnnGraph;
 #[cfg(feature = "metrics")]
 pub use metered::{
-    knn_search_metered, knn_search_streamed_journaled, knn_search_streamed_metered,
-    knn_search_streamed_parallel_instrumented, knn_search_streamed_parallel_journaled,
-    knn_search_streamed_parallel_metered, knn_search_with_journaled, JournalObserver,
+    knn_search_streamed_instrumented, knn_search_with_instrumented, Instruments, JournalObserver,
     RegistryObserver, TimelineObserver,
 };
 pub use metric::{distance_matrix_flat_with, distance_matrix_with, Metric};
 pub use pcie::{data_copy_time, transfer_with_faults, PcieReport};
 pub use pipeline::{
     gpu_knn, gpu_knn_resilient, gpu_knn_resilient_deadline, gpu_knn_resilient_journaled,
-    gpu_knn_traced, knn_search, knn_search_streamed, knn_search_streamed_cancellable,
-    knn_search_streamed_observed, knn_search_streamed_parallel,
-    knn_search_streamed_parallel_cancellable, knn_search_streamed_parallel_observed,
+    gpu_knn_traced, knn_search, knn_search_streamed_parallel,
     knn_search_streamed_parallel_timelined, knn_search_with, knn_search_with_observed, queue_tag,
     resolve_threads, validate_points, CancelToken, Cancelled, GpuKnnResult, NeverCancel,
     NullObserver, Phase, PhaseObserver, ResilientKnnResult, TileBudget,

@@ -1,13 +1,24 @@
 //! Registry-backed instrumentation of the native pipeline (`metrics`
 //! cargo feature).
 //!
-//! This is the bridge between the pipeline's [`PhaseObserver`] hooks
-//! and `trace::metrics::MetricsRegistry`: every phase gets a wall-clock
-//! latency histogram, the streamed path reports its scratch high-water
-//! mark and [`kselect::chunked::StreamMerger`] push/reject totals, and
-//! the blocked distance kernel gets a timed wrapper. Only this module
-//! reads the host clock on knn's behalf — the default-feature pipeline
+//! This is the bridge between the pipeline's [`PhaseObserver`] and
+//! [`TimelineHooks`] and the `trace` crate's sinks: every phase gets a
+//! wall-clock latency histogram in a [`MetricsRegistry`], the streamed
+//! path reports its scratch high-water mark and
+//! [`kselect::chunked::StreamMerger`] push/reject totals, a
+//! [`Journal`] gets one [`QueryRecord`] per query, and a
+//! [`TimelineRecorder`] gets per-worker tracks. Only this module reads
+//! the host clock on knn's behalf — the default-feature pipeline
 //! monomorphizes the hooks away entirely.
+//!
+//! Two entry points cover every combination of sinks:
+//! [`knn_search_with_instrumented`] (the materialized row path) and
+//! [`knn_search_streamed_instrumented`] (the streamed loop at any
+//! thread count). Both take an [`Instruments`] bundle and pick the
+//! observer internally: a [`JournalObserver`] when a live journal is
+//! given (it forwards to the registry too, so one set of clock reads
+//! feeds both), a [`RegistryObserver`] for a registry alone, and
+//! [`NullObserver`] — the plain code — when neither is.
 //!
 //! Metric names (`trace::openmetrics` sanitizes the dots for
 //! OpenMetrics output):
@@ -17,18 +28,10 @@
 //! | `knn.query.latency_ns` | histogram | one query end to end (row fill + select) |
 //! | `knn.row.fill_ns` / `knn.row.select_ns` | histogram | phases of the above |
 //! | `knn.tile.fill_ns` / `knn.tile.select_ns` | histogram | per query × tile phases of the streamed path |
-//! | `knn.tile.merge_ns` | histogram | host-side stream merge per tile |
-//! | `knn.distance.blocked_ns` | histogram | one full blocked-kernel invocation |
-//! | `knn.scratch.peak_bytes` | peak | distance-scratch high-water mark |
+//! | `knn.tile.merge_ns` | histogram | stream merge of one query's tile survivors (per query × tile, at every thread count) |
+//! | `knn.scratch.peak_bytes` | peak | distance-scratch high-water mark: `workers × min(tile, N) × 4` streamed, `N × 4` per worker on the row path |
 //! | `knn.stream.merge_push` / `knn.stream.merge_reject` | counter | stream-merge candidate totals |
-//! | `knn.queries` | counter | queries answered by metered searches |
-//!
-//! The journaled entry points ([`knn_search_with_journaled`],
-//! [`knn_search_streamed_journaled`]) additionally emit one
-//! [`trace::QueryRecord`] per query via a [`JournalObserver`] — the
-//! same clock reads feed both the aggregate histograms and the
-//! per-query records, and a disabled journal falls straight back to the
-//! metered (or plain) path.
+//! | `knn.queries` | counter | queries answered by instrumented searches |
 
 use std::sync::Mutex;
 use std::time::Instant;
@@ -38,14 +41,13 @@ use kselect::SelectConfig;
 use trace::journal::{phases, Journal, QueryRecord};
 use trace::metrics::MetricsRegistry;
 use trace::timeline::{SpanKind, TimelineHooks, TimelineRecorder, TimelineReport};
+use trace::NullTimeline;
 
 use crate::dataset::PointSet;
-use crate::distance::block::{self, FlatMatrix};
 use crate::metric::Metric;
 use crate::pipeline::{
-    knn_search_streamed_observed, knn_search_streamed_parallel_observed,
-    knn_search_streamed_parallel_timelined, knn_search_with_observed, queue_tag, resolve_threads,
-    NeverCancel, Phase, PhaseObserver,
+    knn_search_streamed_parallel_timelined, knn_search_with_observed, queue_tag, NeverCancel,
+    NullObserver, Phase, PhaseObserver,
 };
 
 /// Histogram name a [`Phase`] records under.
@@ -66,10 +68,8 @@ pub const SCRATCH_PEAK_BYTES: &str = "knn.scratch.peak_bytes";
 pub const MERGE_PUSH: &str = "knn.stream.merge_push";
 /// Candidates the running top-k evicted.
 pub const MERGE_REJECT: &str = "knn.stream.merge_reject";
-/// Queries answered by metered searches.
+/// Queries answered by instrumented searches.
 pub const QUERIES: &str = "knn.queries";
-/// One blocked distance-kernel invocation.
-pub const DISTANCE_BLOCKED_NS: &str = "knn.distance.blocked_ns";
 
 /// A [`PhaseObserver`] that records every hook into a
 /// [`MetricsRegistry`].
@@ -100,44 +100,6 @@ impl PhaseObserver for RegistryObserver<'_> {
         self.registry.inc(MERGE_PUSH, pushed);
         self.registry.inc(MERGE_REJECT, rejected);
     }
-}
-
-/// [`crate::knn_search_with`] recording per-query latency histograms,
-/// phase breakdowns and scratch peaks into `registry`. Same results as
-/// the unmetered path.
-pub fn knn_search_with_metered(
-    queries: &PointSet,
-    refs: &PointSet,
-    cfg: &SelectConfig,
-    metric: Metric,
-    registry: &MetricsRegistry,
-) -> Vec<Vec<Neighbor>> {
-    registry.inc(QUERIES, queries.len() as u64);
-    knn_search_with_observed(queries, refs, cfg, metric, &RegistryObserver::new(registry))
-}
-
-/// [`crate::knn_search`] (squared Euclidean) metered.
-pub fn knn_search_metered(
-    queries: &PointSet,
-    refs: &PointSet,
-    cfg: &SelectConfig,
-    registry: &MetricsRegistry,
-) -> Vec<Vec<Neighbor>> {
-    knn_search_with_metered(queries, refs, cfg, Metric::SquaredEuclidean, registry)
-}
-
-/// [`crate::knn_search_streamed`] recording per-tile fill/select/merge
-/// histograms, the scratch high-water mark and stream-merge totals into
-/// `registry`. Same results as the unmetered path.
-pub fn knn_search_streamed_metered(
-    queries: &PointSet,
-    refs: &PointSet,
-    cfg: &SelectConfig,
-    tile: usize,
-    registry: &MetricsRegistry,
-) -> Vec<Vec<Neighbor>> {
-    registry.inc(QUERIES, queries.len() as u64);
-    knn_search_streamed_observed(queries, refs, cfg, tile, &RegistryObserver::new(registry))
 }
 
 /// Journal phase-name key of a pipeline [`Phase`] (`None` for the
@@ -208,14 +170,7 @@ impl<'a> JournalObserver<'a> {
     /// Emit one [`QueryRecord`] per query into `journal`. `tile` is 0 on
     /// the materialized row path; `blocks` counts reference tiles
     /// crossed per query.
-    fn flush<J: Journal>(
-        &self,
-        journal: &J,
-        cfg: &SelectConfig,
-        tag: &str,
-        tile: u64,
-        blocks: u32,
-    ) {
+    fn flush(&self, journal: &dyn Journal, cfg: &SelectConfig, tag: &str, tile: u64, blocks: u32) {
         let scratch_bytes = *self.scratch.lock().unwrap_or_else(|e| e.into_inner());
         for (qi, slot) in self.drafts.iter().enumerate() {
             let d = *slot.lock().unwrap_or_else(|e| e.into_inner());
@@ -308,143 +263,6 @@ impl PhaseObserver for JournalObserver<'_> {
     }
 }
 
-/// [`crate::knn_search_with`] that journals one [`QueryRecord`] per
-/// query and (when `registry` is given) feeds the aggregate histograms
-/// too. With a disabled journal ([`trace::NullJournal`]) this is
-/// exactly the metered (or, without a registry, the plain) search — no
-/// drafts are allocated and no extra clock reads happen.
-pub fn knn_search_with_journaled<J: Journal>(
-    queries: &PointSet,
-    refs: &PointSet,
-    cfg: &SelectConfig,
-    metric: Metric,
-    journal: &J,
-    registry: Option<&MetricsRegistry>,
-    tag: &str,
-) -> Vec<Vec<Neighbor>> {
-    if !journal.enabled() {
-        return match registry {
-            Some(reg) => knn_search_with_metered(queries, refs, cfg, metric, reg),
-            None => {
-                knn_search_with_observed(queries, refs, cfg, metric, &crate::pipeline::NullObserver)
-            }
-        };
-    }
-    if let Some(reg) = registry {
-        reg.inc(QUERIES, queries.len() as u64);
-    }
-    let obs = JournalObserver::new(queries.len(), registry);
-    let out = knn_search_with_observed(queries, refs, cfg, metric, &obs);
-    obs.flush(journal, cfg, tag, 0, 1);
-    out
-}
-
-/// [`crate::knn_search_streamed`] journaling one [`QueryRecord`] per
-/// query (tile phases summed across tiles, per-query stream-merge
-/// push/reject counts, tiles crossed as `blocks`). See
-/// [`knn_search_with_journaled`] for the disabled-journal contract.
-pub fn knn_search_streamed_journaled<J: Journal>(
-    queries: &PointSet,
-    refs: &PointSet,
-    cfg: &SelectConfig,
-    tile: usize,
-    journal: &J,
-    registry: Option<&MetricsRegistry>,
-    tag: &str,
-) -> Vec<Vec<Neighbor>> {
-    if !journal.enabled() {
-        return match registry {
-            Some(reg) => knn_search_streamed_metered(queries, refs, cfg, tile, reg),
-            None => knn_search_streamed_observed(
-                queries,
-                refs,
-                cfg,
-                tile,
-                &crate::pipeline::NullObserver,
-            ),
-        };
-    }
-    if let Some(reg) = registry {
-        reg.inc(QUERIES, queries.len() as u64);
-    }
-    let obs = JournalObserver::new(queries.len(), registry);
-    let out = knn_search_streamed_observed(queries, refs, cfg, tile, &obs);
-    let eff_tile = tile.min(refs.len().max(1));
-    let blocks = refs.len().div_ceil(eff_tile.max(1)) as u32;
-    obs.flush(journal, cfg, tag, eff_tile as u64, blocks);
-    out
-}
-
-/// [`crate::knn_search_streamed_parallel`] metered. Both observers here
-/// are already thread-safe (lock-striped drafts, atomic registry), so
-/// the per-worker measurements land in the same histograms and
-/// counters; totals are exact, only the hook interleaving differs from
-/// the sequential path. Note the merge histogram granularity: the
-/// parallel pipeline merges per query × tile (inside the owning
-/// worker), where the sequential path merges all queries per tile in
-/// one observation.
-pub fn knn_search_streamed_parallel_metered(
-    queries: &PointSet,
-    refs: &PointSet,
-    cfg: &SelectConfig,
-    tile: usize,
-    threads: usize,
-    registry: &MetricsRegistry,
-) -> Vec<Vec<Neighbor>> {
-    registry.inc(QUERIES, queries.len() as u64);
-    knn_search_streamed_parallel_observed(
-        queries,
-        refs,
-        cfg,
-        tile,
-        threads,
-        &RegistryObserver::new(registry),
-    )
-}
-
-/// [`crate::knn_search_streamed_parallel`] journaling one
-/// [`QueryRecord`] per query. The [`JournalObserver`]'s per-query draft
-/// shards accumulate from whichever worker owns each query's block and
-/// are merged into records once, after the pool joins — so per-query
-/// phase sums and merge counters are exact at any thread count. See
-/// [`knn_search_with_journaled`] for the disabled-journal contract.
-#[allow(clippy::too_many_arguments)]
-pub fn knn_search_streamed_parallel_journaled<J: Journal>(
-    queries: &PointSet,
-    refs: &PointSet,
-    cfg: &SelectConfig,
-    tile: usize,
-    threads: usize,
-    journal: &J,
-    registry: Option<&MetricsRegistry>,
-    tag: &str,
-) -> Vec<Vec<Neighbor>> {
-    if !journal.enabled() {
-        return match registry {
-            Some(reg) => {
-                knn_search_streamed_parallel_metered(queries, refs, cfg, tile, threads, reg)
-            }
-            None => knn_search_streamed_parallel_observed(
-                queries,
-                refs,
-                cfg,
-                tile,
-                threads,
-                &crate::pipeline::NullObserver,
-            ),
-        };
-    }
-    if let Some(reg) = registry {
-        reg.inc(QUERIES, queries.len() as u64);
-    }
-    let obs = JournalObserver::new(queries.len(), registry);
-    let out = knn_search_streamed_parallel_observed(queries, refs, cfg, tile, threads, &obs);
-    let eff_tile = tile.min(refs.len().max(1));
-    let blocks = refs.len().div_ceil(eff_tile.max(1)) as u32;
-    obs.flush(journal, cfg, tag, eff_tile as u64, blocks);
-    out
-}
-
 /// Bridges the pipeline's clock-free [`TimelineHooks`] to a
 /// [`trace::TimelineRecorder`]: this module owns the host clock on
 /// knn's behalf, so hook arrivals are stamped here as nanoseconds
@@ -481,10 +299,10 @@ impl<'a> TimelineObserver<'a> {
         self.rec.report(self.now_ns())
     }
 
-    /// Run `f` as one `Service` span on `worker`'s track. Sequential
-    /// paths have no block claims to record, so this is how they get an
-    /// honest busy lane; `detail` disambiguates repeated services (the
-    /// CLI uses the sweep/run index).
+    /// Run `f` as one `Service` span on `worker`'s track. Work with no
+    /// block claims to record (the row path, the CLI's selection bench)
+    /// gets an honest busy lane this way; `detail` disambiguates
+    /// repeated services (the CLI uses the run index).
     pub fn service<R>(&self, worker: usize, detail: u64, f: impl FnOnce() -> R) -> R {
         let t0 = self.now_ns();
         let out = f();
@@ -515,182 +333,244 @@ impl TimelineHooks for TimelineObserver<'_> {
     }
 }
 
-/// The fully instrumented parallel search: per-worker timeline tracks
-/// via `tl`, plus — exactly as [`knn_search_streamed_parallel_journaled`]
-/// — an optional journal and registry. Dispatches internally on the
-/// journal/registry combination so one entry point serves every CLI
-/// flag combination; results are identical to
-/// [`crate::knn_search_streamed_parallel`] in all cases.
-///
-/// Single-worker runs (after [`resolve_threads`]) take the sequential
-/// path wrapped in one `Service` span on track 0, because sequential
-/// tile order is not block order (see
-/// [`knn_search_streamed_parallel_timelined`]).
-#[allow(clippy::too_many_arguments)]
-pub fn knn_search_streamed_parallel_instrumented<J: Journal>(
+/// The sinks an instrumented search reports into; every field is
+/// optional, and [`Instruments::default`] reports nowhere (the plain
+/// code path).
+#[derive(Clone, Copy, Default)]
+pub struct Instruments<'a> {
+    /// Aggregate histograms, counters and scratch peaks.
+    pub registry: Option<&'a MetricsRegistry>,
+    /// One [`QueryRecord`] per query, written after the search returns.
+    /// A disabled journal ([`trace::NullJournal`]) counts as none.
+    pub journal: Option<&'a dyn Journal>,
+    /// Per-worker tracks: block lanes on the streamed path, one
+    /// `Service` span on track 0 for the row path.
+    pub timeline: Option<&'a TimelineObserver<'a>>,
+    /// Labels the run in every journal record.
+    pub tag: &'a str,
+}
+
+/// One search, runnable under whichever observer [`observe`] picks.
+trait ObservedRun {
+    fn run<O: PhaseObserver>(&self, obs: &O) -> Vec<Vec<Neighbor>>;
+}
+
+/// Run `search` under the observer `ins` calls for: a
+/// [`JournalObserver`] (forwarding to the registry, if any) when a live
+/// journal is given, else a [`RegistryObserver`], else
+/// [`NullObserver`]. Journal records carry `tile` (0 on the row path)
+/// and `blocks` (reference tiles crossed per query).
+fn observe(
+    queries: usize,
+    cfg: &SelectConfig,
+    ins: &Instruments<'_>,
+    tile: u64,
+    blocks: u32,
+    search: impl ObservedRun,
+) -> Vec<Vec<Neighbor>> {
+    if let Some(reg) = ins.registry {
+        reg.inc(QUERIES, queries as u64);
+    }
+    match (ins.journal.filter(|j| j.enabled()), ins.registry) {
+        (Some(journal), registry) => {
+            let obs = JournalObserver::new(queries, registry);
+            let out = search.run(&obs);
+            obs.flush(journal, cfg, ins.tag, tile, blocks);
+            out
+        }
+        (None, Some(reg)) => search.run(&RegistryObserver::new(reg)),
+        (None, None) => search.run(&NullObserver),
+    }
+}
+
+/// [`crate::knn_search_with`] reporting into `ins`: per-query latency
+/// histograms ([`Phase::Query`] wrapping [`Phase::RowFill`] and
+/// [`Phase::RowSelect`]), per-worker row-scratch peaks, one journal
+/// record per query, and one `Service` span on timeline track 0 around
+/// the whole search. Same results as the plain path.
+pub fn knn_search_with_instrumented(
+    queries: &PointSet,
+    refs: &PointSet,
+    cfg: &SelectConfig,
+    metric: Metric,
+    ins: &Instruments<'_>,
+) -> Vec<Vec<Neighbor>> {
+    /// The row search's arguments: queries, references, config, metric.
+    struct Rows<'a>(&'a PointSet, &'a PointSet, &'a SelectConfig, Metric);
+    impl ObservedRun for Rows<'_> {
+        fn run<O: PhaseObserver>(&self, obs: &O) -> Vec<Vec<Neighbor>> {
+            let Rows(queries, refs, cfg, metric) = *self;
+            knn_search_with_observed(queries, refs, cfg, metric, obs)
+        }
+    }
+    let search = Rows(queries, refs, cfg, metric);
+    let run = || observe(queries.len(), cfg, ins, 0, 1, search);
+    match ins.timeline {
+        Some(tl) => tl.service(0, 0, run),
+        None => run(),
+    }
+}
+
+/// [`crate::knn_search_streamed_parallel`] reporting into `ins`:
+/// per query × tile fill/select/merge histograms, the scratch peak,
+/// stream-merge totals, one journal record per query (tile phases
+/// summed across tiles, per-query merge counts, the owning worker), and
+/// the timeline's block lanes at every thread count. Observers are
+/// thread-safe, so totals and per-query records are exact at any
+/// thread count. Same results as the plain path.
+pub fn knn_search_streamed_instrumented(
     queries: &PointSet,
     refs: &PointSet,
     cfg: &SelectConfig,
     tile: usize,
     threads: usize,
-    journal: &J,
-    registry: Option<&MetricsRegistry>,
-    tag: &str,
-    tl: &TimelineObserver<'_>,
+    ins: &Instruments<'_>,
 ) -> Vec<Vec<Neighbor>> {
-    if resolve_threads(threads) <= 1 {
-        return tl.service(0, 0, || {
-            knn_search_streamed_parallel_journaled(
-                queries, refs, cfg, tile, threads, journal, registry, tag,
+    /// The streamed search's arguments: queries, references, config,
+    /// tile, threads, timeline.
+    struct Streamed<'a>(
+        &'a PointSet,
+        &'a PointSet,
+        &'a SelectConfig,
+        usize,
+        usize,
+        Option<&'a TimelineObserver<'a>>,
+    );
+    impl Streamed<'_> {
+        fn search<O: PhaseObserver, T: TimelineHooks>(
+            &self,
+            obs: &O,
+            tl: &T,
+        ) -> Vec<Vec<Neighbor>> {
+            let Streamed(queries, refs, cfg, tile, threads, _) = *self;
+            knn_search_streamed_parallel_timelined(
+                queries,
+                refs,
+                cfg,
+                tile,
+                threads,
+                obs,
+                &NeverCancel,
+                tl,
             )
-        });
-    }
-    if let Some(reg) = registry {
-        reg.inc(QUERIES, queries.len() as u64);
-    }
-    fn finish(r: Result<Vec<Vec<Neighbor>>, crate::pipeline::Cancelled>) -> Vec<Vec<Neighbor>> {
-        match r {
-            Ok(v) => v,
-            Err(c) => unreachable!("NeverCancel cancelled at tile {}", c.tiles_done),
+            .unwrap_or_else(|c| unreachable!("NeverCancel cancelled at tile {}", c.tiles_done))
         }
     }
-    if journal.enabled() {
-        let obs = JournalObserver::new(queries.len(), registry);
-        let out = finish(knn_search_streamed_parallel_timelined(
-            queries,
-            refs,
-            cfg,
-            tile,
-            threads,
-            &obs,
-            &NeverCancel,
-            tl,
-        ));
-        let eff_tile = tile.min(refs.len().max(1));
-        let blocks = refs.len().div_ceil(eff_tile.max(1)) as u32;
-        obs.flush(journal, cfg, tag, eff_tile as u64, blocks);
-        out
-    } else if let Some(reg) = registry {
-        finish(knn_search_streamed_parallel_timelined(
-            queries,
-            refs,
-            cfg,
-            tile,
-            threads,
-            &RegistryObserver::new(reg),
-            &NeverCancel,
-            tl,
-        ))
-    } else {
-        finish(knn_search_streamed_parallel_timelined(
-            queries,
-            refs,
-            cfg,
-            tile,
-            threads,
-            &crate::pipeline::NullObserver,
-            &NeverCancel,
-            tl,
-        ))
+    impl ObservedRun for Streamed<'_> {
+        fn run<O: PhaseObserver>(&self, obs: &O) -> Vec<Vec<Neighbor>> {
+            match self.5 {
+                Some(tl) => self.search(obs, tl),
+                None => self.search(obs, &NullTimeline),
+            }
+        }
     }
-}
-
-/// [`block::squared_distances`] with the kernel invocation timed into
-/// [`DISTANCE_BLOCKED_NS`] and the materialized matrix counted against
-/// the scratch peak.
-pub fn squared_distances_metered(
-    queries: &PointSet,
-    refs: &PointSet,
-    registry: &MetricsRegistry,
-) -> FlatMatrix {
-    let t0 = Instant::now();
-    let m = block::squared_distances(queries, refs);
-    registry.observe_ns(DISTANCE_BLOCKED_NS, t0.elapsed().as_nanos() as u64);
-    registry.record_peak(SCRATCH_PEAK_BYTES, m.bytes());
-    m
+    let eff_tile = tile.min(refs.len().max(1));
+    let blocks = refs.len().div_ceil(eff_tile.max(1)) as u32;
+    let search = Streamed(queries, refs, cfg, tile, threads, ins.timeline);
+    observe(queries.len(), cfg, ins, eff_tile as u64, blocks, search)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{knn_search_streamed, knn_search_with};
+    use crate::pipeline::{knn_search_streamed_parallel, knn_search_with};
     use kselect::QueueKind;
+    use trace::{EventJournal, JournalConfig, NullJournal};
+
+    fn metered(reg: &MetricsRegistry) -> Instruments<'_> {
+        Instruments {
+            registry: Some(reg),
+            ..Instruments::default()
+        }
+    }
 
     #[test]
     fn metered_searches_match_unmetered_and_populate_the_registry() {
         let queries = PointSet::uniform(24, 12, 131);
         let refs = PointSet::uniform(400, 12, 132);
         let cfg = SelectConfig::plain(QueueKind::Merge, 16);
+
         let reg = MetricsRegistry::new();
-
         let plain = knn_search_with(&queries, &refs, &cfg, Metric::SquaredEuclidean);
-        let metered = knn_search_metered(&queries, &refs, &cfg, &reg);
-        assert_eq!(metered, plain, "metering must not change results");
+        let metered_rows = knn_search_with_instrumented(
+            &queries,
+            &refs,
+            &cfg,
+            Metric::SquaredEuclidean,
+            &metered(&reg),
+        );
+        assert_eq!(metered_rows, plain, "metering must not change results");
+        // the row path holds one N-float row per worker
+        assert_eq!(reg.peak(SCRATCH_PEAK_BYTES), 400 * 4);
 
-        let streamed_plain = knn_search_streamed(&queries, &refs, &cfg, 100);
-        let streamed = knn_search_streamed_metered(&queries, &refs, &cfg, 100, &reg);
+        let streamed_plain = knn_search_streamed_parallel(&queries, &refs, &cfg, 100, 1);
+        let streamed_reg = MetricsRegistry::new();
+        let streamed = knn_search_streamed_instrumented(
+            &queries,
+            &refs,
+            &cfg,
+            100,
+            1,
+            &metered(&streamed_reg),
+        );
         assert_eq!(streamed, streamed_plain);
+        // the streamed path holds one tile row per worker
+        assert_eq!(streamed_reg.peak(SCRATCH_PEAK_BYTES), 100 * 4);
 
-        let snap = reg.snapshot();
-        let hist = |name: &str| {
-            snap.histograms
-                .iter()
+        let hist = |reg: &MetricsRegistry, name: &str| {
+            reg.snapshot()
+                .histograms
+                .into_iter()
                 .find(|h| h.name == name)
                 .unwrap_or_else(|| panic!("missing histogram {name}"))
+                .count
         };
-        assert_eq!(hist("knn.query.latency_ns").count, 24);
-        assert_eq!(hist("knn.row.fill_ns").count, 24);
-        assert_eq!(hist("knn.row.select_ns").count, 24);
-        // 400 refs / tile 100 = 4 tiles × 24 queries
-        assert_eq!(hist("knn.tile.fill_ns").count, 96);
-        assert_eq!(hist("knn.tile.select_ns").count, 96);
-        assert_eq!(hist("knn.tile.merge_ns").count, 4);
-        assert_eq!(reg.counter(QUERIES), 48);
+        assert_eq!(hist(&reg, "knn.query.latency_ns"), 24);
+        assert_eq!(hist(&reg, "knn.row.fill_ns"), 24);
+        assert_eq!(hist(&reg, "knn.row.select_ns"), 24);
+        assert_eq!(reg.counter(QUERIES), 24);
+        // 400 refs / tile 100 = 4 tiles × 24 queries; the merge is
+        // observed per query × tile too
+        assert_eq!(hist(&streamed_reg, "knn.tile.fill_ns"), 96);
+        assert_eq!(hist(&streamed_reg, "knn.tile.select_ns"), 96);
+        assert_eq!(hist(&streamed_reg, "knn.tile.merge_ns"), 96);
+        assert_eq!(streamed_reg.counter(QUERIES), 24);
         // every tile yields min(k, tile) survivors: 4 tiles × 16 × 24
-        assert_eq!(reg.counter(MERGE_PUSH), 4 * 16 * 24);
+        assert_eq!(streamed_reg.counter(MERGE_PUSH), 4 * 16 * 24);
         assert_eq!(
-            reg.counter(MERGE_PUSH) - reg.counter(MERGE_REJECT),
+            streamed_reg.counter(MERGE_PUSH) - streamed_reg.counter(MERGE_REJECT),
             (24 * 16) as u64,
             "kept candidates must equal Q × k"
         );
-        // streamed scratch: Q × tile × 4 = 24 × 100 × 4; the
-        // materialized row path recorded N × 4 per worker, smaller here
-        assert_eq!(reg.peak(SCRATCH_PEAK_BYTES), 24 * 100 * 4);
     }
 
     #[test]
     fn journaled_searches_match_plain_and_emit_one_record_per_query() {
-        use trace::{EventJournal, JournalConfig, NullJournal};
-
         let queries = PointSet::uniform(16, 10, 135);
         let refs = PointSet::uniform(300, 10, 136);
         let cfg = SelectConfig::plain(QueueKind::Merge, 8);
         let plain = knn_search_with(&queries, &refs, &cfg, Metric::SquaredEuclidean);
 
         // disabled journal, no registry: plain path, nothing recorded
-        let out = knn_search_with_journaled(
-            &queries,
-            &refs,
-            &cfg,
-            Metric::SquaredEuclidean,
-            &NullJournal,
-            None,
-            "",
-        );
+        let off = Instruments {
+            journal: Some(&NullJournal),
+            ..Instruments::default()
+        };
+        let out =
+            knn_search_with_instrumented(&queries, &refs, &cfg, Metric::SquaredEuclidean, &off);
         assert_eq!(out, plain);
 
         // live journal + registry: same results, 16 row-path records
         let journal = EventJournal::new(JournalConfig::default());
         let reg = MetricsRegistry::new();
-        let out = knn_search_with_journaled(
-            &queries,
-            &refs,
-            &cfg,
-            Metric::SquaredEuclidean,
-            &journal,
-            Some(&reg),
-            "row-run",
-        );
+        let ins = Instruments {
+            registry: Some(&reg),
+            journal: Some(&journal),
+            tag: "row-run",
+            ..Instruments::default()
+        };
+        let out =
+            knn_search_with_instrumented(&queries, &refs, &cfg, Metric::SquaredEuclidean, &ins);
         assert_eq!(out, plain);
         let snap = journal.snapshot();
         assert_eq!(snap.len(), 16);
@@ -714,10 +594,14 @@ mod tests {
         assert_eq!(reg.counter(QUERIES), 16, "registry forwarding stays on");
 
         // streamed: tile phases sum, per-query merge stats, blocks count
-        let streamed_plain = knn_search_streamed(&queries, &refs, &cfg, 100);
+        let streamed_plain = knn_search_streamed_parallel(&queries, &refs, &cfg, 100, 1);
         let journal = EventJournal::new(JournalConfig::default());
-        let out =
-            knn_search_streamed_journaled(&queries, &refs, &cfg, 100, &journal, None, "stream-run");
+        let ins = Instruments {
+            journal: Some(&journal),
+            tag: "stream-run",
+            ..Instruments::default()
+        };
+        let out = knn_search_streamed_instrumented(&queries, &refs, &cfg, 100, 1, &ins);
         assert_eq!(out, streamed_plain);
         let snap = journal.snapshot();
         assert_eq!(snap.len(), 16);
@@ -727,23 +611,29 @@ mod tests {
             // every tile contributes min(k, tile) = 8 pushes
             assert_eq!(r.merge_push, 3 * 8);
             assert_eq!(r.merge_push - r.merge_reject, 8, "kept = k");
-            assert_eq!(r.scratch_bytes, 16 * 100 * 4);
+            assert_eq!(r.scratch_bytes, 100 * 4, "one worker, one tile row");
             assert!(r.phase_ns.iter().any(|(k, _)| k == "tile_select"));
             assert!(r.total_ns > 0);
         }
     }
 
     #[test]
-    fn parallel_metered_matches_sequential_and_totals_are_exact() {
+    fn metered_totals_are_exact_at_any_thread_count() {
         let queries = PointSet::uniform(70, 12, 137);
         let refs = PointSet::uniform(400, 12, 138);
         let cfg = SelectConfig::plain(QueueKind::Merge, 16);
-        let sequential = knn_search_streamed(&queries, &refs, &cfg, 100);
-        for threads in [2usize, 8] {
+        let one = knn_search_streamed_parallel(&queries, &refs, &cfg, 100, 1);
+        for threads in [1usize, 2, 8] {
             let reg = MetricsRegistry::new();
-            let parallel =
-                knn_search_streamed_parallel_metered(&queries, &refs, &cfg, 100, threads, &reg);
-            assert_eq!(parallel, sequential, "threads {threads}");
+            let out = knn_search_streamed_instrumented(
+                &queries,
+                &refs,
+                &cfg,
+                100,
+                threads,
+                &metered(&reg),
+            );
+            assert_eq!(out, one, "threads {threads}");
             let snap = reg.snapshot();
             let hist = |name: &str| {
                 snap.histograms
@@ -755,7 +645,6 @@ mod tests {
             // how blocks were distributed across workers.
             assert_eq!(hist("knn.tile.fill_ns").count, 280, "threads {threads}");
             assert_eq!(hist("knn.tile.select_ns").count, 280);
-            // The parallel pipeline merges per query × tile.
             assert_eq!(hist("knn.tile.merge_ns").count, 280);
             assert_eq!(reg.counter(QUERIES), 70);
             assert_eq!(reg.counter(MERGE_PUSH), 4 * 16 * 70);
@@ -768,19 +657,20 @@ mod tests {
     }
 
     #[test]
-    fn parallel_journaled_matches_sequential_records_at_any_thread_count() {
-        use trace::{EventJournal, JournalConfig};
-
+    fn journaled_records_match_at_any_thread_count() {
         let queries = PointSet::uniform(40, 10, 139);
         let refs = PointSet::uniform(300, 10, 140);
         let cfg = SelectConfig::plain(QueueKind::Merge, 8);
-        let sequential = knn_search_streamed(&queries, &refs, &cfg, 100);
+        let one = knn_search_streamed_parallel(&queries, &refs, &cfg, 100, 1);
         for threads in [1usize, 2, 8] {
             let journal = EventJournal::new(JournalConfig::default());
-            let out = knn_search_streamed_parallel_journaled(
-                &queries, &refs, &cfg, 100, threads, &journal, None, "par-run",
-            );
-            assert_eq!(out, sequential, "threads {threads}");
+            let ins = Instruments {
+                journal: Some(&journal),
+                tag: "par-run",
+                ..Instruments::default()
+            };
+            let out = knn_search_streamed_instrumented(&queries, &refs, &cfg, 100, threads, &ins);
+            assert_eq!(out, one, "threads {threads}");
             let snap = journal.snapshot();
             assert_eq!(snap.len(), 40, "one record per query");
             for r in &snap {
@@ -801,36 +691,25 @@ mod tests {
         }
     }
 
-    #[test]
-    fn instrumented_matches_plain_and_accounts_every_block_exactly_once() {
-        use crate::pipeline::knn_search_streamed_parallel;
-        use trace::NullJournal;
-
-        // 130 queries / QUERY_BLOCK(32) = 5 blocks -> all 4 workers run.
-        let queries = PointSet::uniform(130, 12, 141);
+    /// Runs the streamed search with only a timeline attached and checks
+    /// the block accounting every timeline promises: every block on
+    /// exactly one lane, and busy + idle == wall on every lane.
+    fn timeline_run(queries: &PointSet, threads: usize) -> TimelineReport {
         let refs = PointSet::uniform(400, 12, 142);
         let cfg = SelectConfig::plain(QueueKind::Merge, 16);
-        let plain = knn_search_streamed_parallel(&queries, &refs, &cfg, 100, 4);
+        let plain = knn_search_streamed_parallel(queries, &refs, &cfg, 100, threads);
 
-        let rec = TimelineRecorder::new(4);
+        let rec = TimelineRecorder::new(threads);
         let tl = TimelineObserver::new(&rec);
-        let out = knn_search_streamed_parallel_instrumented(
-            &queries,
-            &refs,
-            &cfg,
-            100,
-            4,
-            &NullJournal,
-            None,
-            "",
-            &tl,
-        );
+        let ins = Instruments {
+            timeline: Some(&tl),
+            ..Instruments::default()
+        };
+        let out = knn_search_streamed_instrumented(queries, &refs, &cfg, 100, threads, &ins);
         assert_eq!(out, plain, "timeline recording must not change results");
 
         let report = tl.report();
-        assert_eq!(report.lanes.len(), 4);
-        assert_eq!(report.blocks_total, 5, "130 queries / 32-query blocks");
-        // Every claimed block lands on exactly one worker's track.
+        assert_eq!(report.lanes.len(), threads);
         let mut blocks: Vec<u64> = report
             .lanes
             .iter()
@@ -839,8 +718,9 @@ mod tests {
             .map(|s| s.detail)
             .collect();
         blocks.sort_unstable();
-        assert_eq!(blocks, vec![0, 1, 2, 3, 4]);
-        // Busy + idle conservation per worker against the common wall.
+        let expected: Vec<u64> = (0..queries.len().div_ceil(32) as u64).collect();
+        assert_eq!(blocks, expected, "every block on exactly one lane");
+        assert_eq!(report.blocks_total, expected.len() as u64);
         for lane in &report.lanes {
             assert_eq!(
                 lane.busy_ns + lane.idle_ns,
@@ -849,39 +729,49 @@ mod tests {
                 lane.worker
             );
             assert!(lane.utilization <= 1.0 + f64::EPSILON);
+            // one tile row of scratch per worker
+            assert_eq!(lane.scratch_peak_bytes, 100 * 4);
         }
         assert!(report.imbalance >= 1.0);
-        // Scratch reservations were reported per worker.
-        assert!(report
-            .lanes
-            .iter()
-            .any(|l| l.scratch_peak_bytes == 32 * 100 * 4));
+        report
     }
 
     #[test]
-    fn instrumented_single_thread_takes_the_sequential_path_as_a_service_span() {
-        use trace::NullJournal;
+    fn instrumented_matches_plain_and_accounts_every_block_exactly_once() {
+        // 130 queries / QUERY_BLOCK(32) = 5 blocks -> all 4 workers run.
+        let report = timeline_run(&PointSet::uniform(130, 12, 141), 4);
+        assert_eq!(report.blocks_total, 5, "130 queries / 32-query blocks");
+    }
 
-        let queries = PointSet::uniform(20, 10, 143);
-        let refs = PointSet::uniform(200, 10, 144);
+    #[test]
+    fn instrumented_single_thread_records_block_lanes() {
+        // One worker runs the same block loop inline: 3 block spans on
+        // the single lane, no service span.
+        let report = timeline_run(&PointSet::uniform(70, 12, 143), 1);
+        let spans = &report.lanes[0].spans;
+        assert_eq!(report.lanes[0].blocks, 3);
+        assert!(spans.iter().all(|s| s.kind != SpanKind::Service));
+        assert!(report.lanes[0].busy_ns > 0, "block spans are busy time");
+    }
+
+    #[test]
+    fn row_path_timeline_is_one_service_span() {
+        let queries = PointSet::uniform(20, 10, 147);
+        let refs = PointSet::uniform(200, 10, 148);
         let cfg = SelectConfig::plain(QueueKind::Merge, 8);
-        let plain = knn_search_streamed(&queries, &refs, &cfg, 64);
         let rec = TimelineRecorder::new(1);
         let tl = TimelineObserver::new(&rec);
-        let out = knn_search_streamed_parallel_instrumented(
-            &queries,
-            &refs,
-            &cfg,
-            64,
-            1,
-            &NullJournal,
-            None,
-            "",
-            &tl,
+        let ins = Instruments {
+            timeline: Some(&tl),
+            ..Instruments::default()
+        };
+        let out =
+            knn_search_with_instrumented(&queries, &refs, &cfg, Metric::SquaredEuclidean, &ins);
+        assert_eq!(
+            out,
+            knn_search_with(&queries, &refs, &cfg, Metric::SquaredEuclidean)
         );
-        assert_eq!(out, plain);
         let report = tl.report();
-        assert_eq!(report.lanes.len(), 1);
         let spans = &report.lanes[0].spans;
         assert_eq!(spans.len(), 1, "one service span, no block claims");
         assert_eq!(spans[0].kind, SpanKind::Service);
@@ -890,17 +780,19 @@ mod tests {
 
     #[test]
     fn journal_records_carry_the_owning_worker() {
-        use trace::{EventJournal, JournalConfig};
-
         let queries = PointSet::uniform(130, 10, 145);
         let refs = PointSet::uniform(300, 10, 146);
         let cfg = SelectConfig::plain(QueueKind::Merge, 8);
         let journal = EventJournal::new(JournalConfig::default());
         let rec = TimelineRecorder::new(4);
         let tl = TimelineObserver::new(&rec);
-        knn_search_streamed_parallel_instrumented(
-            &queries, &refs, &cfg, 100, 4, &journal, None, "tl-run", &tl,
-        );
+        let ins = Instruments {
+            journal: Some(&journal),
+            timeline: Some(&tl),
+            tag: "tl-run",
+            ..Instruments::default()
+        };
+        knn_search_streamed_instrumented(&queries, &refs, &cfg, 100, 4, &ins);
         let snap = journal.snapshot();
         assert_eq!(snap.len(), 130);
         assert!(snap.iter().all(|r| (r.worker as usize) < 4));
@@ -915,19 +807,5 @@ mod tests {
         for w in snap.iter().map(|r| r.worker as usize) {
             assert!(report.lanes[w].blocks > 0);
         }
-    }
-
-    #[test]
-    fn metered_distance_kernel_matches_and_records() {
-        let queries = PointSet::uniform(8, 16, 133);
-        let refs = PointSet::uniform(64, 16, 134);
-        let reg = MetricsRegistry::new();
-        let plain = block::squared_distances(&queries, &refs);
-        let metered = squared_distances_metered(&queries, &refs, &reg);
-        assert_eq!(metered, plain);
-        let snap = reg.snapshot();
-        assert_eq!(snap.histograms[0].name, DISTANCE_BLOCKED_NS);
-        assert_eq!(snap.histograms[0].count, 1);
-        assert_eq!(reg.peak(SCRATCH_PEAK_BYTES), 8 * 64 * 4);
     }
 }

@@ -3,19 +3,20 @@
 //! * [`knn_search`] — the native library entry point: real computation on
 //!   the host, parallel over queries with one reused distance-row scratch
 //!   per worker. This is what a downstream user of the crate calls.
-//! * [`knn_search_streamed`] — the tile-streamed native pipeline: per
-//!   reference tile, distances are computed into a reused Q×tile scratch
-//!   and fed straight into per-tile k-selection merged by
+//! * [`knn_search_streamed_parallel`] — the tile-streamed native
+//!   pipeline: workers claim query *blocks* from a shared cursor and,
+//!   per reference tile, fill each query's distance row into one reused
+//!   `tile`-length scratch row, k-select it with the configured variant
+//!   and merge the survivors into that query's
 //!   [`kselect::chunked::StreamMerger`]. The full Q×N matrix is never
-//!   materialised, so peak distance memory is O(Q·tile) instead of
-//!   O(Q·N) — same distances bit-for-bit and same neighbors as
-//!   [`knn_search`] (see its docs for the tied-id caveat).
-//! * [`knn_search_streamed_parallel`] — the streamed pipeline scheduled
-//!   across a pool of OS threads: workers claim query *blocks* from a
-//!   shared cursor and walk every reference tile of their block in
-//!   ascending order, so each query's merge sequence — and therefore
-//!   its neighbors — is identical at any thread count. One scratch
-//!   buffer per worker, no per-query allocation.
+//!   materialised, so peak distance memory is O(workers·tile) instead
+//!   of O(Q·N). Distances are bit-for-bit those of [`knn_search`], the
+//!   neighbors the same (see the function docs for the tied-id
+//!   caveat), and both are identical at any thread count. One worker
+//!   runs inline on the caller's thread.
+//!   [`knn_search_streamed_parallel_timelined`] is the same loop with
+//!   observer, cancellation and timeline hooks; `knn::metered` builds
+//!   every instrumented streamed search on it.
 //! * [`gpu_knn`] — the simulated pipeline the experiments use: distances
 //!   are computed natively (they are *data*), the distance kernel's cost
 //!   is charged analytically, and k-selection runs for real on the SIMT
@@ -32,7 +33,7 @@
 use kselect::chunked::StreamMerger;
 use kselect::gpu::{
     gpu_select_k, gpu_select_k_resilient, gpu_select_k_resilient_gated, DistanceMatrix,
-    GpuResilience, KernelCounters, SearchReport,
+    GpuResilience, GpuResilientSelect, KernelCounters, SearchReport,
 };
 use kselect::types::Neighbor;
 use kselect::{KnnError, SelectConfig};
@@ -56,12 +57,14 @@ pub enum Phase {
     /// k-selection over one query's full row in [`knn_search_with`].
     RowSelect,
     /// Distance fill of one query × one reference tile in
-    /// [`knn_search_streamed`].
+    /// [`knn_search_streamed_parallel_timelined`].
     TileFill,
-    /// Per-tile k-selection of one query in [`knn_search_streamed`].
+    /// Per-tile k-selection of one query in
+    /// [`knn_search_streamed_parallel_timelined`].
     TileSelect,
-    /// Host-side [`StreamMerger`] merge of one tile's survivors across
-    /// all queries in [`knn_search_streamed`].
+    /// Host-side [`StreamMerger`] merge of one query's tile survivors
+    /// in [`knn_search_streamed_parallel_timelined`] — one observation
+    /// per query × tile at every thread count.
     TileMerge,
 }
 
@@ -104,7 +107,7 @@ pub trait PhaseObserver: Sync {
     #[inline]
     fn query_merger_stats(&self, _qi: usize, _pushed: u64, _rejected: u64) {}
     /// Which pool worker serviced query `qi`. Fired once per query by
-    /// the parallel pipeline (never by sequential paths, whose implied
+    /// the streamed pipeline (never by the row path, whose implied
     /// worker is 0); the journal records it on the query's record.
     #[inline]
     fn query_worker(&self, _qi: usize, _worker: usize) {}
@@ -132,8 +135,8 @@ pub trait CancelToken: Sync {
 }
 
 /// The zero-cost default token: never cancels. Monomorphizes
-/// [`knn_search_streamed_cancellable`] to exactly the uncancellable
-/// code.
+/// [`knn_search_streamed_parallel_timelined`] to exactly the
+/// uncancellable code.
 pub struct NeverCancel;
 
 impl CancelToken for NeverCancel {
@@ -244,130 +247,6 @@ pub fn knn_search_with_observed<O: PhaseObserver>(
         .collect()
 }
 
-/// Tile-streamed native k-NN search: exact results of [`knn_search`]
-/// without ever materialising the Q×N distance matrix.
-///
-/// The reference list is processed in `tile`-length chunks (use
-/// [`block::DEFAULT_STREAM_TILE`] when in doubt). Per tile, a reused
-/// Q×tile scratch is filled by the blocked row primitive (parallel over
-/// queries), each query's tile is k-selected with the configured
-/// variant, and the survivors stream into a per-query
-/// [`StreamMerger`] — the same merge the divide-and-merge
-/// (`select_k_chunked`) path uses, so the final top-k distances are
-/// identical to selecting over the full row, and with the insertion
-/// queue the ids are too (first-seen == lowest id on both paths). The
-/// heap and merge queues evict id-arbitrarily among *equal* distances,
-/// so under exact ties at the k-th value the two paths may keep
-/// different (equally correct) tied ids — a property of those queues,
-/// not of the streaming. Peak distance memory is `Q × min(tile, N)`
-/// floats.
-///
-/// # Panics
-/// When `tile` is zero, `cfg.k` exceeds the number of references, or the
-/// point sets disagree on dimensionality.
-pub fn knn_search_streamed(
-    queries: &PointSet,
-    refs: &PointSet,
-    cfg: &SelectConfig,
-    tile: usize,
-) -> Vec<Vec<Neighbor>> {
-    knn_search_streamed_observed(queries, refs, cfg, tile, &NullObserver)
-}
-
-/// [`knn_search_streamed`] with [`PhaseObserver`] hooks at tile
-/// granularity: per-query tile fill ([`Phase::TileFill`]) and selection
-/// ([`Phase::TileSelect`]) inside the parallel loop, the host-side
-/// merge per tile ([`Phase::TileMerge`]), the scratch working-set bytes
-/// and the final [`StreamMerger`] push/reject totals. Results are
-/// identical to the unobserved path.
-pub fn knn_search_streamed_observed<O: PhaseObserver>(
-    queries: &PointSet,
-    refs: &PointSet,
-    cfg: &SelectConfig,
-    tile: usize,
-    obs: &O,
-) -> Vec<Vec<Neighbor>> {
-    match knn_search_streamed_cancellable(queries, refs, cfg, tile, obs, &NeverCancel) {
-        Ok(neighbors) => neighbors,
-        // `NeverCancel` never trips.
-        Err(c) => unreachable!("NeverCancel cancelled at tile {}", c.tiles_done),
-    }
-}
-
-/// [`knn_search_streamed_observed`] with cooperative cancellation
-/// checked at every tile boundary.
-///
-/// `token` is polled with the completed-tile count before each tile;
-/// when it returns `true` the search stops there and returns
-/// [`Cancelled`] — no further distance rows are filled, no further
-/// selection runs, and the partial merge state is dropped (see
-/// [`Cancelled`] for why). With [`NeverCancel`] this is exactly
-/// [`knn_search_streamed_observed`]: same results, same observer
-/// events, byte for byte.
-pub fn knn_search_streamed_cancellable<O: PhaseObserver, C: CancelToken>(
-    queries: &PointSet,
-    refs: &PointSet,
-    cfg: &SelectConfig,
-    tile: usize,
-    obs: &O,
-    token: &C,
-) -> Result<Vec<Vec<Neighbor>>, Cancelled> {
-    assert!(tile > 0, "tile size must be positive");
-    assert!(cfg.k <= refs.len(), "k exceeds the number of references");
-    assert_eq!(queries.dim(), refs.dim(), "dimension mismatch");
-    let q = queries.len();
-    let n = refs.len();
-    let tile = tile.min(n.max(1));
-    let ref_norms = block::norms(refs);
-    let q_norms = block::norms(queries);
-    let mut mergers: Vec<StreamMerger> = (0..q).map(|_| StreamMerger::new(cfg.k)).collect();
-    let mut scratch = vec![0.0f32; q * tile];
-    obs.scratch_bytes((q * tile * core::mem::size_of::<f32>()) as u64);
-    let tiles_total = n.div_ceil(tile);
-    for (tiles_done, r0) in (0..n).step_by(tile).enumerate() {
-        if token.is_cancelled(tiles_done) {
-            return Err(Cancelled {
-                tiles_done,
-                tiles_total,
-            });
-        }
-        let t_len = tile.min(n - r0);
-        let rows: Vec<(usize, &mut [f32])> =
-            scratch[..q * t_len].chunks_mut(t_len).enumerate().collect();
-        let survivors: Vec<Vec<Neighbor>> = rows
-            .into_par_iter()
-            .map(|(qi, row)| {
-                obs.timed_q(Phase::TileFill, qi, || {
-                    block::fill_row_range(
-                        queries.point(qi),
-                        q_norms[qi],
-                        refs,
-                        &ref_norms,
-                        r0,
-                        &mut *row,
-                    )
-                });
-                obs.timed_q(Phase::TileSelect, qi, || kselect::select_k(row, cfg))
-            })
-            .collect();
-        obs.timed(Phase::TileMerge, || {
-            for (merger, tile_topk) in mergers.iter_mut().zip(survivors) {
-                merger.push_chunk(tile_topk, r0 as u32);
-            }
-        });
-    }
-    let (pushed, rejected) = mergers
-        .iter()
-        .enumerate()
-        .fold((0u64, 0u64), |(p, r), (qi, m)| {
-            let s = m.stats();
-            obs.query_merger_stats(qi, s.pushed, s.rejected);
-            (p + s.pushed, r + s.rejected)
-        });
-    obs.merger_stats(pushed, rejected);
-    Ok(mergers.into_iter().map(StreamMerger::finish).collect())
-}
-
 /// Resolve a caller-facing thread-count request: `0` means "auto"
 /// (`RAYON_NUM_THREADS`, else the host's available parallelism), any
 /// positive value is taken literally.
@@ -379,10 +258,22 @@ pub fn resolve_threads(threads: usize) -> usize {
     }
 }
 
-/// [`knn_search_streamed`] scheduled across `threads` OS threads
-/// (`0` = auto, see [`resolve_threads`]). Same neighbors as the
-/// sequential streamed path at any thread count — see
-/// [`knn_search_streamed_parallel_cancellable`] for how.
+/// Tile-streamed native k-NN search on `threads` OS threads (`0` =
+/// auto, see [`resolve_threads`]): exact results of [`knn_search`]
+/// without ever materialising the Q×N distance matrix. See
+/// [`knn_search_streamed_parallel_timelined`] for the schedule.
+///
+/// Use [`block::DEFAULT_STREAM_TILE`] for `tile` when in doubt. The
+/// final top-k distances are identical to selecting over the full row,
+/// and with the insertion queue the ids are too (first-seen == lowest
+/// id on both paths). The heap and merge queues evict id-arbitrarily
+/// among *equal* distances, so under exact ties at the k-th value the
+/// two paths may keep different (equally correct) tied ids — a
+/// property of those queues, not of the streaming.
+///
+/// # Panics
+/// When `tile` is zero, `cfg.k` exceeds the number of references, or the
+/// point sets disagree on dimensionality.
 pub fn knn_search_streamed_parallel(
     queries: &PointSet,
     refs: &PointSet,
@@ -390,97 +281,56 @@ pub fn knn_search_streamed_parallel(
     tile: usize,
     threads: usize,
 ) -> Vec<Vec<Neighbor>> {
-    knn_search_streamed_parallel_observed(queries, refs, cfg, tile, threads, &NullObserver)
-}
-
-/// [`knn_search_streamed_parallel`] with [`PhaseObserver`] hooks. The
-/// observer must be thread-safe (the trait already requires `Sync`);
-/// per-query hooks fire from whichever worker owns the query's block,
-/// and the aggregate merge totals are folded once after the pool joins,
-/// so counters and per-query attributions are exact — only the
-/// interleaving of hook invocations differs from the sequential path.
-pub fn knn_search_streamed_parallel_observed<O: PhaseObserver>(
-    queries: &PointSet,
-    refs: &PointSet,
-    cfg: &SelectConfig,
-    tile: usize,
-    threads: usize,
-    obs: &O,
-) -> Vec<Vec<Neighbor>> {
-    match knn_search_streamed_parallel_cancellable(
-        queries,
-        refs,
-        cfg,
-        tile,
-        threads,
-        obs,
-        &NeverCancel,
-    ) {
-        Ok(neighbors) => neighbors,
-        // `NeverCancel` never trips.
-        Err(c) => unreachable!("NeverCancel cancelled at tile {}", c.tiles_done),
-    }
-}
-
-/// The parallel tile pipeline: workers claim [`block::QUERY_BLOCK`]-sized
-/// query blocks from a shared atomic cursor (dynamic scheduling — a
-/// fast worker steals the next block as soon as it finishes one) and
-/// walk *every* reference tile of their block in ascending order into a
-/// per-worker block×tile scratch. Because each query's tile survivors
-/// reach its [`StreamMerger`] in exactly the sequential order, the
-/// merged neighbors are identical to [`knn_search_streamed`] at any
-/// thread count; only wall-clock interleaving varies.
-///
-/// `token` is polled per block with that block's completed-tile count.
-/// [`CancelToken`]s are deterministic functions of `tiles_done` (the
-/// trait contract), so every block trips at the same tile index and the
-/// returned [`Cancelled`] reports the same boundary the sequential path
-/// would; when workers race past a trip, the earliest boundary wins.
-/// Partial results are dropped, as on the sequential path.
-///
-/// `threads <= 1` (after [`resolve_threads`]) delegates to
-/// [`knn_search_streamed_cancellable`] — byte-identical behaviour,
-/// observer event order included.
-///
-/// # Panics
-/// When `tile` is zero, `cfg.k` exceeds the number of references, or
-/// the point sets disagree on dimensionality.
-#[allow(clippy::too_many_arguments)]
-pub fn knn_search_streamed_parallel_cancellable<O: PhaseObserver, C: CancelToken>(
-    queries: &PointSet,
-    refs: &PointSet,
-    cfg: &SelectConfig,
-    tile: usize,
-    threads: usize,
-    obs: &O,
-    token: &C,
-) -> Result<Vec<Vec<Neighbor>>, Cancelled> {
     knn_search_streamed_parallel_timelined(
         queries,
         refs,
         cfg,
         tile,
         threads,
-        obs,
-        token,
+        &NullObserver,
+        &NeverCancel,
         &NullTimeline,
     )
+    .unwrap_or_else(|c| unreachable!("NeverCancel cancelled at tile {}", c.tiles_done))
 }
 
-/// [`knn_search_streamed_parallel_cancellable`] with per-worker
-/// [`TimelineHooks`]: each worker announces itself, every block claim /
-/// tile walk / block completion fires on that worker's track, and the
-/// per-worker scratch reservation is reported once per worker. The
-/// hooks carry **no timestamps** — a clock-owning implementation (such
-/// as `knn::metered`'s recorder adapter) stamps them on arrival, so
-/// this module stays clock-free and [`NullTimeline`] monomorphizes to
-/// exactly the untimelined code.
+/// The streamed pipeline — the one implementation every streamed entry
+/// point runs.
 ///
-/// Single-worker runs (after [`resolve_threads`]) delegate to the
-/// sequential path and fire **no** timeline hooks; callers that want a
-/// lane for a sequential run should wrap the call in a service span
-/// (as `knn::metered` does), because sequential tile order is not block
-/// order and per-block tracks would misattribute it.
+/// Workers claim [`block::QUERY_BLOCK`]-sized query blocks from a shared
+/// atomic cursor (a fast worker takes the next block as soon as it
+/// finishes one) and walk *every* reference tile of their block in
+/// ascending order. Per tile, each query of the block has its distance
+/// row filled into the worker's one `tile`-length scratch row
+/// ([`Phase::TileFill`]), k-selected ([`Phase::TileSelect`]) and merged
+/// into its [`StreamMerger`] ([`Phase::TileMerge`]) before the next
+/// query reuses the row. Each query's survivors therefore reach its
+/// merger in ascending tile order at any thread count, so the neighbors
+/// are identical at any thread count; only wall-clock interleaving
+/// varies. Peak distance scratch is `workers × min(tile, N)` floats.
+/// One worker runs inline on the caller's thread.
+///
+/// `obs` receives the per-phase hooks from whichever worker owns the
+/// query's block; the aggregate merge totals are folded once after the
+/// pool joins. `tl` receives per-worker [`TimelineHooks`]: each worker
+/// announces itself, every block claim / tile walk / block completion
+/// fires on that worker's track, and the scratch reservation is
+/// reported once per worker. The hooks carry **no timestamps** — a
+/// clock-owning implementation (such as `knn::metered`'s recorder
+/// adapter) stamps them on arrival, so this module stays clock-free.
+/// [`NullObserver`], [`NeverCancel`] and [`NullTimeline`] monomorphize
+/// to exactly the uninstrumented code.
+///
+/// `token` is polled per block with that block's completed-tile count.
+/// [`CancelToken`]s are deterministic functions of `tiles_done` (the
+/// trait contract), so every block trips at the same tile index and the
+/// returned [`Cancelled`] reports the same boundary at any thread
+/// count; when workers race past a trip, the earliest boundary wins.
+/// Partial results are dropped (see [`Cancelled`]).
+///
+/// # Panics
+/// When `tile` is zero, `cfg.k` exceeds the number of references, or
+/// the point sets disagree on dimensionality.
 #[allow(clippy::too_many_arguments)]
 pub fn knn_search_streamed_parallel_timelined<
     O: PhaseObserver,
@@ -499,10 +349,6 @@ pub fn knn_search_streamed_parallel_timelined<
     use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
     use std::sync::Mutex;
 
-    let workers = resolve_threads(threads);
-    if workers <= 1 {
-        return knn_search_streamed_cancellable(queries, refs, cfg, tile, obs, token);
-    }
     assert!(tile > 0, "tile size must be positive");
     assert!(cfg.k <= refs.len(), "k exceeds the number of references");
     assert_eq!(queries.dim(), refs.dim(), "dimension mismatch");
@@ -514,10 +360,9 @@ pub fn knn_search_streamed_parallel_timelined<
     let tiles_total = n.div_ceil(tile);
     let block_len = block::QUERY_BLOCK.min(q.max(1));
     let blocks_total = q.div_ceil(block_len);
-    let workers = workers.min(blocks_total.max(1));
-    // Peak distance scratch across the pool: one block×tile row buffer
-    // per worker, reused for every block that worker claims.
-    obs.scratch_bytes((workers * block_len * tile * core::mem::size_of::<f32>()) as u64);
+    let workers = resolve_threads(threads).min(blocks_total.max(1));
+    let row_bytes = (tile * core::mem::size_of::<f32>()) as u64;
+    obs.scratch_bytes(workers as u64 * row_bytes);
 
     let next_block = AtomicUsize::new(0);
     // Earliest tile boundary any block's token tripped at; usize::MAX =
@@ -530,11 +375,8 @@ pub fn knn_search_streamed_parallel_timelined<
 
     rayon::scope_broadcast(workers, |worker| {
         tl.worker_started(worker);
-        tl.scratch_reserved(
-            worker,
-            (block_len * tile * core::mem::size_of::<f32>()) as u64,
-        );
-        let mut scratch = vec![0.0f32; block_len * tile];
+        tl.scratch_reserved(worker, row_bytes);
+        let mut scratch = vec![0.0f32; tile];
         'work: loop {
             if cancel_at.load(Ordering::Relaxed) != usize::MAX {
                 break 'work;
@@ -560,9 +402,8 @@ pub fn knn_search_streamed_parallel_timelined<
                     tl.block_finished(worker, b, tiles_done);
                     break 'work;
                 }
-                let t_len = tile.min(n - r0);
-                for (i, row) in scratch[..(q1 - q0) * t_len].chunks_mut(t_len).enumerate() {
-                    let qi = q0 + i;
+                let row = &mut scratch[..tile.min(n - r0)];
+                for (qi, merger) in (q0..q1).zip(&mut mergers) {
                     obs.timed_q(Phase::TileFill, qi, || {
                         block::fill_row_range(
                             queries.point(qi),
@@ -574,16 +415,15 @@ pub fn knn_search_streamed_parallel_timelined<
                         )
                     });
                     let topk = obs.timed_q(Phase::TileSelect, qi, || kselect::select_k(row, cfg));
-                    let merger = &mut mergers[i];
                     obs.timed(Phase::TileMerge, || merger.push_chunk(topk, r0 as u32));
                 }
                 tl.tile_walked(worker, b, tiles_done);
             }
             let (mut pushed, mut rejected) = (0u64, 0u64);
-            for (i, m) in mergers.iter().enumerate() {
+            for (qi, m) in (q0..q1).zip(&mergers) {
                 let s = m.stats();
-                obs.query_merger_stats(q0 + i, s.pushed, s.rejected);
-                obs.query_worker(q0 + i, worker);
+                obs.query_merger_stats(qi, s.pushed, s.rejected);
+                obs.query_worker(qi, worker);
                 pushed += s.pushed;
                 rejected += s.rejected;
             }
@@ -796,6 +636,24 @@ pub fn gpu_knn_resilient(
     cfg: &SelectConfig,
     res: &GpuResilience,
 ) -> Result<ResilientKnnResult, KnnError> {
+    resilient_pipeline(tm, queries, refs, res, |dm, _| {
+        gpu_select_k_resilient(&tm.spec, dm, cfg, res)
+    })
+}
+
+/// The body [`gpu_knn_resilient`] and [`gpu_knn_resilient_deadline`]
+/// share: validate the inputs, compute the distance matrix natively
+/// (costed analytically), upload the input points across the (possibly
+/// faulted) link, then run `select` on the matrix with the simulated
+/// seconds spent so far, and fold the upload's PCIe counts into the
+/// selection report.
+fn resilient_pipeline(
+    tm: &TimingModel,
+    queries: &PointSet,
+    refs: &PointSet,
+    res: &GpuResilience,
+    select: impl FnOnce(&DistanceMatrix, f64) -> Result<GpuResilientSelect, KnnError>,
+) -> Result<ResilientKnnResult, KnnError> {
     validate_points(queries, "query")?;
     validate_points(refs, "reference")?;
     assert_eq!(queries.dim(), refs.dim(), "dimension mismatch");
@@ -818,7 +676,7 @@ pub fn gpu_knn_resilient(
         },
     };
 
-    let sel = gpu_select_k_resilient(&tm.spec, &dm, cfg, res)?;
+    let sel = select(&dm, upload.seconds + distance_time)?;
     let mut report = sel.report;
     report.counters.pcie_stalls += upload.stalls;
     report.counters.pcie_corruptions += upload.corruptions;
@@ -860,48 +718,15 @@ pub fn gpu_knn_resilient_deadline(
     res: &GpuResilience,
     budget_s: f64,
 ) -> Result<ResilientKnnResult, KnnError> {
-    validate_points(queries, "query")?;
-    validate_points(refs, "reference")?;
-    assert_eq!(queries.dim(), refs.dim(), "dimension mismatch");
-
-    let dist_m = gpu_distance_metrics(queries.len(), refs.len(), queries.dim());
-    let distance_time = tm.kernel_time(&dist_m);
-    let fm = block::squared_distances(queries, refs);
-    let dm = DistanceMatrix::from_row_major(fm.as_slice(), fm.q(), fm.n());
-
-    let input_bytes = ((queries.len() + refs.len()) * queries.dim() * 4) as u64;
-    let upload = match &res.faults {
-        Some(plan) => pcie::transfer_with_faults(&tm.spec, input_bytes, plan, 0, res.max_attempts)?,
-        None => PcieReport {
-            attempts: 1,
-            seconds: pcie::transfer_time(&tm.spec, input_bytes),
-            ..PcieReport::default()
-        },
-    };
-
-    let spent_before_select = upload.seconds + distance_time;
-    let sel = gpu_select_k_resilient_gated(&tm.spec, &dm, cfg, res, |_, consumed, backoff_s| {
-        let select_s = if consumed.issued == 0 {
-            0.0
-        } else {
-            tm.kernel_time(consumed)
-        };
-        spent_before_select + select_s + backoff_s < budget_s
-    })?;
-    let mut report = sel.report;
-    report.counters.pcie_stalls += upload.stalls;
-    report.counters.pcie_corruptions += upload.corruptions;
-
-    Ok(ResilientKnnResult {
-        neighbors: sel.neighbors,
-        report,
-        select_time: tm.kernel_time(&sel.metrics),
-        distance_time,
-        select_metrics: sel.metrics,
-        wasted_metrics: sel.wasted,
-        distance_metrics: dist_m,
-        upload,
-        counters: sel.counters,
+    resilient_pipeline(tm, queries, refs, res, |dm, spent_before_select| {
+        gpu_select_k_resilient_gated(&tm.spec, dm, cfg, res, |_, consumed, backoff_s| {
+            let select_s = if consumed.issued == 0 {
+                0.0
+            } else {
+                tm.kernel_time(consumed)
+            };
+            spent_before_select + select_s + backoff_s < budget_s
+        })
     })
 }
 
@@ -1038,14 +863,14 @@ mod tests {
             let full = knn_search(&queries, &refs, &cfg);
             // Tiles straddling k, tile-edge remainders, and tile > N.
             for tile in [7usize, 16, 100, 499, 500, 4096] {
-                let streamed = knn_search_streamed(&queries, &refs, &cfg, tile);
+                let streamed = knn_search_streamed_parallel(&queries, &refs, &cfg, tile, 1);
                 assert_eq!(streamed, full, "kind {kind:?} tile {tile}");
             }
         }
     }
 
     #[test]
-    fn parallel_streamed_matches_sequential_at_any_thread_count() {
+    fn parallel_streamed_matches_one_thread_at_any_thread_count() {
         // 70 queries = 3 query blocks (QUERY_BLOCK = 32): more blocks
         // than workers at 2 threads, fewer at 8.
         let queries = PointSet::uniform(70, 12, 218);
@@ -1053,14 +878,11 @@ mod tests {
         for kind in [QueueKind::Insertion, QueueKind::Merge, QueueKind::Heap] {
             let cfg = SelectConfig::plain(kind, 16);
             for tile in [7usize, 100, 500, 4096] {
-                let sequential = knn_search_streamed(&queries, &refs, &cfg, tile);
-                for threads in [1usize, 2, 8] {
+                let one = knn_search_streamed_parallel(&queries, &refs, &cfg, tile, 1);
+                for threads in [2usize, 8] {
                     let parallel =
                         knn_search_streamed_parallel(&queries, &refs, &cfg, tile, threads);
-                    assert_eq!(
-                        parallel, sequential,
-                        "kind {kind:?} tile {tile} threads {threads}"
-                    );
+                    assert_eq!(parallel, one, "kind {kind:?} tile {tile} threads {threads}");
                 }
             }
         }
@@ -1073,67 +895,88 @@ mod tests {
         let cfg = SelectConfig::plain(QueueKind::Merge, 8);
         for q in [1usize, 5, 32] {
             let queries = PointSet::uniform(q, 8, 221);
-            let sequential = knn_search_streamed(&queries, &refs, &cfg, 64);
+            let one = knn_search_streamed_parallel(&queries, &refs, &cfg, 64, 1);
             let parallel = knn_search_streamed_parallel(&queries, &refs, &cfg, 64, 8);
-            assert_eq!(parallel, sequential, "q {q}");
+            assert_eq!(parallel, one, "q {q}");
+        }
+    }
+
+    /// Records the largest scratch the pipeline reports.
+    #[derive(Default)]
+    struct ScratchPeak(std::sync::atomic::AtomicU64);
+
+    impl PhaseObserver for ScratchPeak {
+        fn scratch_bytes(&self, bytes: u64) {
+            self.0
+                .fetch_max(bytes, std::sync::atomic::Ordering::Relaxed);
         }
     }
 
     #[test]
-    fn parallel_tile_budget_stops_at_the_sequential_boundary() {
+    fn scratch_is_one_tile_row_per_worker() {
+        // 300 queries = 10 query blocks, so 8 workers all get one.
+        let queries = PointSet::uniform(300, 8, 224);
+        let refs = PointSet::uniform(500, 8, 225);
+        let cfg = SelectConfig::plain(QueueKind::Heap, 8);
+        for threads in [1usize, 2, 8] {
+            // tile < N, and tile > N (the row clamps to N).
+            for (tile, row) in [(100usize, 100u64), (4096, 500)] {
+                let peak = ScratchPeak::default();
+                knn_search_streamed_parallel_timelined(
+                    &queries,
+                    &refs,
+                    &cfg,
+                    tile,
+                    threads,
+                    &peak,
+                    &NeverCancel,
+                    &NullTimeline,
+                )
+                .expect("NeverCancel never trips");
+                assert_eq!(
+                    peak.0.into_inner(),
+                    threads as u64 * row * 4,
+                    "threads {threads} tile {tile}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn tile_budget_cancels_at_the_same_boundary_at_any_thread_count() {
         let queries = PointSet::uniform(70, 8, 222);
         let refs = PointSet::uniform(400, 8, 223);
         let cfg = SelectConfig::plain(QueueKind::Heap, 4);
+        let run = |threads: usize, budget: usize| {
+            knn_search_streamed_parallel_timelined(
+                &queries,
+                &refs,
+                &cfg,
+                64,
+                threads,
+                &NullObserver,
+                &TileBudget(budget),
+                &NullTimeline,
+            )
+        };
         // 400 refs / 64-tile = 7 tiles; admit 3 — every block trips at
-        // the same boundary, so the report matches the sequential path.
-        for threads in [2usize, 8] {
-            let out = knn_search_streamed_parallel_cancellable(
-                &queries,
-                &refs,
-                &cfg,
-                64,
-                threads,
-                &NullObserver,
-                &TileBudget(3),
-            );
-            assert_eq!(
-                out,
-                Err(Cancelled {
-                    tiles_done: 3,
-                    tiles_total: 7
-                }),
-                "threads {threads}"
-            );
-            let none = knn_search_streamed_parallel_cancellable(
-                &queries,
-                &refs,
-                &cfg,
-                64,
-                threads,
-                &NullObserver,
-                &TileBudget(0),
-            );
-            assert_eq!(
-                none,
-                Err(Cancelled {
-                    tiles_done: 0,
-                    tiles_total: 7
-                }),
-                "threads {threads}"
-            );
+        // the same boundary, so the report is thread-count independent,
+        // and no partial results escape. A zero budget stops before any
+        // tile; a budget covering every tile completes exactly.
+        let full = knn_search_streamed_parallel(&queries, &refs, &cfg, 64, 1);
+        for threads in [1usize, 2, 8] {
+            for budget in [0usize, 3] {
+                assert_eq!(
+                    run(threads, budget),
+                    Err(Cancelled {
+                        tiles_done: budget,
+                        tiles_total: 7
+                    }),
+                    "threads {threads} budget {budget}"
+                );
+            }
+            assert_eq!(run(threads, 7).as_ref(), Ok(&full), "threads {threads}");
         }
-        // A budget covering every tile completes with exact results.
-        let full = knn_search_streamed(&queries, &refs, &cfg, 64);
-        let budgeted = knn_search_streamed_parallel_cancellable(
-            &queries,
-            &refs,
-            &cfg,
-            64,
-            4,
-            &NullObserver,
-            &TileBudget(7),
-        );
-        assert_eq!(budgeted, Ok(full));
     }
 
     #[test]
@@ -1141,57 +984,6 @@ mod tests {
         assert!(resolve_threads(0) >= 1);
         assert_eq!(resolve_threads(1), 1);
         assert_eq!(resolve_threads(6), 6);
-    }
-
-    #[test]
-    fn cancellable_with_never_cancel_matches_streamed() {
-        let queries = PointSet::uniform(20, 8, 210);
-        let refs = PointSet::uniform(400, 8, 211);
-        let cfg = SelectConfig::plain(QueueKind::Merge, 8);
-        let plain = knn_search_streamed(&queries, &refs, &cfg, 64);
-        let cancellable =
-            knn_search_streamed_cancellable(&queries, &refs, &cfg, 64, &NullObserver, &NeverCancel)
-                .expect("NeverCancel never trips");
-        assert_eq!(plain, cancellable);
-    }
-
-    #[test]
-    fn tile_budget_stops_at_the_boundary_without_partial_results() {
-        let queries = PointSet::uniform(10, 8, 212);
-        let refs = PointSet::uniform(400, 8, 213);
-        let cfg = SelectConfig::plain(QueueKind::Heap, 4);
-        // 400 refs / 64-tile = 7 tiles; admit 3.
-        let out = knn_search_streamed_cancellable(
-            &queries,
-            &refs,
-            &cfg,
-            64,
-            &NullObserver,
-            &TileBudget(3),
-        );
-        assert_eq!(
-            out,
-            Err(Cancelled {
-                tiles_done: 3,
-                tiles_total: 7
-            })
-        );
-        // A zero budget stops before any tile.
-        let none = knn_search_streamed_cancellable(
-            &queries,
-            &refs,
-            &cfg,
-            64,
-            &NullObserver,
-            &TileBudget(0),
-        );
-        assert_eq!(
-            none,
-            Err(Cancelled {
-                tiles_done: 0,
-                tiles_total: 7
-            })
-        );
     }
 
     #[test]
@@ -1248,7 +1040,7 @@ mod tests {
     #[should_panic]
     fn streamed_zero_tile_rejected() {
         let p = PointSet::uniform(2, 4, 120);
-        knn_search_streamed(&p, &p, &SelectConfig::plain(QueueKind::Heap, 1), 0);
+        knn_search_streamed_parallel(&p, &p, &SelectConfig::plain(QueueKind::Heap, 1), 0, 1);
     }
 
     #[test]

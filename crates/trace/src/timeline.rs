@@ -81,7 +81,7 @@ pub enum SpanKind {
     /// One reference-tile walk inside a block (fill + select + merge).
     Tile,
     /// One serviced unit outside the block scheduler: a request in the
-    /// serving engine, or a whole sequential run on the 1-thread path.
+    /// serving engine, or a whole run of the materialized row path.
     Service,
     /// Time a request spent waiting in the admission queue.
     QueueWait,
