@@ -1,11 +1,172 @@
-//! Hand-rolled argument parsing (no CLI-framework dependency).
+//! Declarative flag parsing for `knn-cli` (no CLI-framework dependency).
+//!
+//! [`parse`] splits argv into a subcommand and a `Flags` bag of
+//! `--name value` pairs plus the `--json` / `--help` switches. Each
+//! subcommand's args struct drains the flags it knows through typed
+//! getters, which reject out-of-range values (a zero count, a
+//! non-positive rate) where they enter. `Flags::finish` then rejects
+//! whatever is left — a typo, or a flag of another subcommand — and
+//! suggests the closest name that subcommand asked for. A flag given
+//! twice is an error too, so no input is silently dropped; `main` exits
+//! 2 on every parse error.
 
-use std::collections::HashMap;
 use std::path::PathBuf;
+use std::str::FromStr;
 
 use knn::Metric;
 use kselect::QueueKind;
 use serve::{ArrivalProcess, QueuePolicy};
+
+/// The flags of one invocation, drained by the subcommand that owns
+/// them.
+#[derive(Default)]
+struct Flags {
+    cmd: String,
+    /// `--name value` pairs in argv order; a switch has an empty value.
+    values: Vec<(String, String)>,
+    positionals: Vec<String>,
+    /// Every name the subcommand asked for: the did-you-mean candidates.
+    asked: Vec<&'static str>,
+}
+
+impl Flags {
+    fn new(cmd: &str, rest: &[String]) -> Result<Flags, String> {
+        let mut f = Flags {
+            cmd: cmd.to_string(),
+            ..Flags::default()
+        };
+        let mut it = rest.iter();
+        while let Some(a) = it.next() {
+            let Some(name) = a.strip_prefix("--") else {
+                f.positionals.push(a.clone());
+                continue;
+            };
+            if f.values.iter().any(|(n, _)| n == name) {
+                return Err(format!("--{name} given twice"));
+            }
+            let v = match name {
+                "json" | "help" => String::new(),
+                _ => it
+                    .next()
+                    .ok_or_else(|| format!("--{name} needs a value"))?
+                    .clone(),
+            };
+            f.values.push((name.to_string(), v));
+        }
+        Ok(f)
+    }
+
+    /// Take `--name`'s raw value out of the bag.
+    fn take(&mut self, name: &'static str) -> Option<String> {
+        self.asked.push(name);
+        let i = self.values.iter().position(|(n, _)| n == name)?;
+        Some(self.values.remove(i).1)
+    }
+
+    fn opt_with<T>(
+        &mut self,
+        name: &'static str,
+        parse: impl FnOnce(&str) -> Option<T>,
+    ) -> Result<Option<T>, String> {
+        self.take(name)
+            .map(|v| parse(&v).ok_or_else(|| format!("invalid --{name} value `{v}`")))
+            .transpose()
+    }
+
+    fn opt<T: FromStr>(&mut self, name: &'static str) -> Result<Option<T>, String> {
+        self.opt_with(name, |v| v.parse().ok())
+    }
+
+    fn req<T: FromStr>(&mut self, name: &'static str) -> Result<T, String> {
+        self.opt(name)?.ok_or_else(|| format!("missing --{name}"))
+    }
+
+    fn or<T: FromStr>(&mut self, name: &'static str, default: T) -> Result<T, String> {
+        Ok(self.opt(name)?.unwrap_or(default))
+    }
+
+    fn path(&mut self, name: &'static str) -> Option<PathBuf> {
+        self.take(name).map(PathBuf::from)
+    }
+
+    fn switch(&mut self, name: &'static str) -> bool {
+        self.take(name).is_some()
+    }
+
+    /// A count that must be at least 1; `default: None` makes it
+    /// required.
+    fn count<T: FromStr + PartialOrd + From<u8>>(
+        &mut self,
+        name: &'static str,
+        default: Option<T>,
+    ) -> Result<T, String> {
+        let v = match default {
+            Some(d) => self.or(name, d)?,
+            None => self.req(name)?,
+        };
+        if v < T::from(1) {
+            return Err(format!("--{name} must be at least 1"));
+        }
+        Ok(v)
+    }
+
+    /// An optional real that must be positive and finite.
+    fn positive(&mut self, name: &'static str) -> Result<Option<f64>, String> {
+        match self.opt::<f64>(name)? {
+            Some(v) if !(v > 0.0 && v.is_finite()) => {
+                Err(format!("--{name} must be positive and finite, got {v}"))
+            }
+            v => Ok(v),
+        }
+    }
+
+    /// Reject every flag, switch or positional the subcommand did not
+    /// take.
+    fn finish(self) -> Result<(), String> {
+        if let Some(a) = self.positionals.first() {
+            return Err(format!("unexpected argument: {a}"));
+        }
+        let Some((name, _)) = self.values.first() else {
+            return Ok(());
+        };
+        let hint = self
+            .asked
+            .iter()
+            .map(|a| (edit_distance(name, a), a))
+            .filter(|(d, _)| *d <= 2)
+            .min()
+            .map_or(String::new(), |(_, a)| format!(" (did you mean --{a}?)"));
+        Err(format!("`{}` has no --{name}{hint}", self.cmd))
+    }
+}
+
+/// Levenshtein distance, for the did-you-mean hint.
+fn edit_distance(a: &str, b: &str) -> usize {
+    let b: Vec<char> = b.chars().collect();
+    let mut row: Vec<usize> = (0..=b.len()).collect();
+    for (i, ca) in a.chars().enumerate() {
+        let mut diag = row[0];
+        row[0] = i + 1;
+        for (j, cb) in b.iter().enumerate() {
+            let next = (diag + usize::from(ca != *cb))
+                .min(row[j] + 1)
+                .min(row[j + 1] + 1);
+            diag = row[j + 1];
+            row[j + 1] = next;
+        }
+    }
+    row[b.len()]
+}
+
+fn take_queue(f: &mut Flags) -> Result<QueueKind, String> {
+    let kind = f.opt_with("queue", |s| match s {
+        "merge" => Some(QueueKind::Merge),
+        "heap" => Some(QueueKind::Heap),
+        "insertion" => Some(QueueKind::Insertion),
+        _ => None,
+    })?;
+    Ok(kind.unwrap_or(QueueKind::Merge))
+}
 
 /// Per-query journal options shared by the instrumented subcommands
 /// (`--journal-out FILE [--journal-sample P] [--journal-exemplars E]`).
@@ -28,6 +189,46 @@ impl Default for JournalArgs {
             sample: 1.0,
             exemplars: 16,
         }
+    }
+}
+
+impl JournalArgs {
+    fn take(f: &mut Flags) -> Result<JournalArgs, String> {
+        let out = f.path("journal-out");
+        let sample = f.opt::<f64>("journal-sample")?;
+        let exemplars = f.opt("journal-exemplars")?;
+        if out.is_none() && (sample.is_some() || exemplars.is_some()) {
+            return Err("--journal-sample and --journal-exemplars need --journal-out".into());
+        }
+        let d = JournalArgs::default();
+        let sample = sample.unwrap_or(d.sample);
+        if !(0.0..=1.0).contains(&sample) {
+            return Err(format!("--journal-sample must be in [0, 1], got {sample}"));
+        }
+        Ok(JournalArgs {
+            out,
+            sample,
+            exemplars: exemplars.unwrap_or(d.exemplars),
+        })
+    }
+}
+
+/// Run artifacts of the native subcommands (`search`, `bench`, `stats`,
+/// `serve`): `--metrics-out`, `--timeline-out` and the journal group.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct Sinks {
+    pub metrics_out: Option<PathBuf>,
+    pub timeline_out: Option<PathBuf>,
+    pub journal: JournalArgs,
+}
+
+impl Sinks {
+    fn take(f: &mut Flags) -> Result<Sinks, String> {
+        Ok(Sinks {
+            metrics_out: f.path("metrics-out"),
+            timeline_out: f.path("timeline-out"),
+            journal: JournalArgs::take(f)?,
+        })
     }
 }
 
@@ -70,6 +271,248 @@ pub fn parse_fault_plan(spec: &str) -> Result<FaultPlanArgs, String> {
     Ok(plan)
 }
 
+/// `search --refs FILE --queries FILE --dim D --k K [--metric M]
+/// [--queue Q] [--threads T] [--json] [SINKS]`
+#[derive(Clone, Debug, PartialEq)]
+pub struct SearchArgs {
+    pub refs: PathBuf,
+    pub queries: PathBuf,
+    pub dim: usize,
+    pub k: usize,
+    pub metric: Metric,
+    pub queue: QueueKind,
+    pub threads: usize,
+    pub json: bool,
+    pub sinks: Sinks,
+}
+
+impl SearchArgs {
+    fn take(f: &mut Flags) -> Result<SearchArgs, String> {
+        Ok(SearchArgs {
+            refs: f.req("refs")?,
+            queries: f.req("queries")?,
+            dim: f.count("dim", None)?,
+            k: f.req("k")?,
+            metric: f
+                .opt_with("metric", |s| match s {
+                    "euclidean" => Some(Metric::SquaredEuclidean),
+                    "manhattan" => Some(Metric::Manhattan),
+                    "cosine" => Some(Metric::Cosine),
+                    "dot" => Some(Metric::NegativeDot),
+                    _ => None,
+                })?
+                .unwrap_or(Metric::SquaredEuclidean),
+            queue: take_queue(f)?,
+            threads: f.or("threads", 1)?,
+            json: f.switch("json"),
+            sinks: Sinks::take(f)?,
+        })
+    }
+}
+
+/// `bench --n N --k K [--queue Q] [--threads T] [SINKS]` — native
+/// selection benchmark.
+#[derive(Clone, Debug, PartialEq)]
+pub struct BenchArgs {
+    pub n: usize,
+    pub k: usize,
+    pub queue: QueueKind,
+    pub threads: usize,
+    pub sinks: Sinks,
+}
+
+impl BenchArgs {
+    fn take(f: &mut Flags) -> Result<BenchArgs, String> {
+        Ok(BenchArgs {
+            n: f.req("n")?,
+            k: f.req("k")?,
+            queue: take_queue(f)?,
+            threads: f.or("threads", 1)?,
+            sinks: Sinks::take(f)?,
+        })
+    }
+}
+
+/// `stats --n N [--dim D] [--k K] [--queries Q] [--threads T] [SINKS]`
+/// — native runtime-metrics sweep: the streamed pipeline across tile
+/// sizes × queue kinds, reported as latency histograms.
+#[derive(Clone, Debug, PartialEq)]
+pub struct StatsArgs {
+    pub n: usize,
+    pub dim: usize,
+    pub k: usize,
+    pub queries: usize,
+    pub threads: usize,
+    pub sinks: Sinks,
+}
+
+impl StatsArgs {
+    fn take(f: &mut Flags) -> Result<StatsArgs, String> {
+        Ok(StatsArgs {
+            n: f.req("n")?,
+            dim: f.count("dim", Some(16))?,
+            k: f.or("k", 16)?,
+            queries: f.count("queries", Some(64))?,
+            threads: f.or("threads", 1)?,
+            sinks: Sinks::take(f)?,
+        })
+    }
+}
+
+/// `profile --n N --k K [--queries Q] [--queue Q] [--trace-out FILE]
+/// [--jsonl-out FILE]` — run the traced pipeline and print a
+/// simulated-time profile; optionally export a Chrome trace / JSONL.
+#[derive(Clone, Debug, PartialEq)]
+pub struct ProfileArgs {
+    pub n: usize,
+    pub k: usize,
+    pub queries: usize,
+    pub queue: QueueKind,
+    pub trace_out: Option<PathBuf>,
+    pub jsonl_out: Option<PathBuf>,
+}
+
+impl ProfileArgs {
+    fn take(f: &mut Flags) -> Result<ProfileArgs, String> {
+        Ok(ProfileArgs {
+            n: f.req("n")?,
+            k: f.req("k")?,
+            queries: f.count("queries", Some(64))?,
+            queue: take_queue(f)?,
+            trace_out: f.path("trace-out"),
+            jsonl_out: f.path("jsonl-out"),
+        })
+    }
+}
+
+/// `faults --n N --k K [--queries Q] [--queue Q] [--seeds S]
+/// [--seed BASE] [--aborts R] [--hangs R] [--bitflips R]
+/// [--pcie-stall R] [--pcie-corrupt R] [--attempts A] [JOURNAL]` — run
+/// seeded fault campaigns through the resilient pipeline and check
+/// every delivered result against the fault-free oracle.
+#[derive(Clone, Debug, PartialEq)]
+pub struct FaultArgs {
+    pub n: usize,
+    pub k: usize,
+    pub queries: usize,
+    pub queue: QueueKind,
+    pub seeds: u64,
+    pub seed: u64,
+    pub aborts: f64,
+    pub hangs: f64,
+    pub bitflips: f64,
+    pub pcie_stall: f64,
+    pub pcie_corrupt: f64,
+    pub attempts: u32,
+    pub journal: JournalArgs,
+}
+
+impl FaultArgs {
+    fn take(f: &mut Flags) -> Result<FaultArgs, String> {
+        let a = FaultArgs {
+            n: f.req("n")?,
+            k: f.req("k")?,
+            queries: f.count("queries", Some(64))?,
+            queue: take_queue(f)?,
+            seeds: f.count("seeds", Some(4))?,
+            seed: f.or("seed", 1)?,
+            aborts: f.or("aborts", 0.2)?,
+            hangs: f.or("hangs", 0.1)?,
+            bitflips: f.or("bitflips", 1e-4)?,
+            pcie_stall: f.or("pcie-stall", 0.1)?,
+            pcie_corrupt: f.or("pcie-corrupt", 0.05)?,
+            attempts: f.count("attempts", Some(6))?,
+            journal: JournalArgs::take(f)?,
+        };
+        if a.seed.checked_add(a.seeds).is_none() {
+            return Err("--seed + --seeds overflows u64".into());
+        }
+        Ok(a)
+    }
+}
+
+/// `serve [--arrivals poisson|uniform] [--seed S] [--duration-sim T]
+/// [--rate R | --load L] [--deadline D | --deadline-factor F]
+/// [--capacity C] [--policy reject|drop-newest|drop-oldest]
+/// [--n N] [--dim D] [--k K] [--queries Q] [--tile T] [--stride S]
+/// [--threads T] [--fault-plan SPEC] [--json] [SINKS]` — deterministic
+/// overload campaign through the serving layer on the simulated clock.
+#[derive(Clone, Debug, PartialEq)]
+pub struct ServeArgs {
+    pub n: usize,
+    pub dim: usize,
+    pub k: usize,
+    pub queries: usize,
+    pub seed: u64,
+    pub duration: f64,
+    pub arrivals: ArrivalProcess,
+    pub rate: Option<f64>,
+    pub load: f64,
+    pub deadline: Option<f64>,
+    pub deadline_factor: f64,
+    pub capacity: usize,
+    pub policy: QueuePolicy,
+    pub tile: usize,
+    pub stride: usize,
+    pub threads: usize,
+    pub fault_plan: Option<FaultPlanArgs>,
+    pub json: bool,
+    pub sinks: Sinks,
+}
+
+impl ServeArgs {
+    fn take(f: &mut Flags) -> Result<ServeArgs, String> {
+        let (rate, load) = (f.positive("rate")?, f.positive("load")?);
+        let (deadline, factor) = (f.positive("deadline")?, f.positive("deadline-factor")?);
+        for (a, b, both) in [
+            ("rate", "load", rate.is_some() && load.is_some()),
+            (
+                "deadline",
+                "deadline-factor",
+                deadline.is_some() && factor.is_some(),
+            ),
+        ] {
+            if both {
+                return Err(format!("give --{a} or --{b}, not both"));
+            }
+        }
+        let duration: f64 = f.or("duration-sim", 0.0)?;
+        if !(duration >= 0.0 && duration.is_finite()) {
+            return Err(format!(
+                "--duration-sim must be finite and >= 0, got {duration}"
+            ));
+        }
+        Ok(ServeArgs {
+            n: f.or("n", 2048)?,
+            dim: f.count("dim", Some(16))?,
+            k: f.or("k", 16)?,
+            queries: f.count("queries", Some(32))?,
+            seed: f.or("seed", 1)?,
+            duration,
+            arrivals: f
+                .opt_with("arrivals", ArrivalProcess::parse)?
+                .unwrap_or(ArrivalProcess::Poisson),
+            rate,
+            load: load.unwrap_or(2.0),
+            deadline,
+            deadline_factor: factor.unwrap_or(8.0),
+            capacity: f.or("capacity", 8)?,
+            policy: f
+                .opt_with("policy", QueuePolicy::parse)?
+                .unwrap_or(QueuePolicy::Reject),
+            tile: f.count("tile", Some(1024))?,
+            stride: f.count("stride", Some(4))?,
+            threads: f.or("threads", 1)?,
+            fault_plan: f
+                .take("fault-plan")
+                .map(|s| parse_fault_plan(&s))
+                .transpose()?,
+            json: f.switch("json"),
+            sinks: Sinks::take(f)?,
+        })
+    }
+}
+
 /// Parsed `knn-cli` invocation.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Command {
@@ -80,46 +523,9 @@ pub enum Command {
         seed: u64,
         out: PathBuf,
     },
-    /// `search --refs FILE --queries FILE --dim D --k K [--metric M]
-    /// [--queue Q] [--threads T] [--json] [--metrics-out FILE]`
-    Search {
-        refs: PathBuf,
-        queries: PathBuf,
-        dim: usize,
-        k: usize,
-        metric: Metric,
-        queue: QueueKind,
-        threads: usize,
-        json: bool,
-        metrics_out: Option<PathBuf>,
-        timeline_out: Option<PathBuf>,
-        journal: JournalArgs,
-    },
-    /// `bench --n N --k K [--queue Q] [--threads T] [--metrics-out FILE]`
-    /// — native selection benchmark.
-    Bench {
-        n: usize,
-        k: usize,
-        queue: QueueKind,
-        threads: usize,
-        metrics_out: Option<PathBuf>,
-        timeline_out: Option<PathBuf>,
-        journal: JournalArgs,
-    },
-    /// `stats --n N [--dim D] [--k K] [--queries Q] [--threads T]
-    /// [--metrics-out FILE]` — native runtime-metrics sweep: the streamed
-    /// pipeline across tile sizes × queue kinds, reported as latency
-    /// histograms.
-    Stats {
-        n: usize,
-        dim: usize,
-        k: usize,
-        queries: usize,
-        threads: usize,
-        metrics_out: Option<PathBuf>,
-        timeline_out: Option<PathBuf>,
-        journal: JournalArgs,
-    },
+    Search(SearchArgs),
+    Bench(BenchArgs),
+    Stats(StatsArgs),
     /// `simulate --n N --k K [--queue Q]` — simulated-GPU run with a
     /// profiler report.
     Simulate {
@@ -127,67 +533,9 @@ pub enum Command {
         k: usize,
         queue: QueueKind,
     },
-    /// `profile --n N --k K [--queries Q] [--queue Q] [--trace-out FILE]
-    /// [--jsonl-out FILE]` — run the traced pipeline and print a
-    /// simulated-time profile; optionally export a Chrome trace / JSONL.
-    Profile {
-        n: usize,
-        k: usize,
-        queries: usize,
-        queue: QueueKind,
-        trace_out: Option<PathBuf>,
-        jsonl_out: Option<PathBuf>,
-    },
-    /// `faults --n N --k K [--queries Q] [--queue Q] [--seeds S]
-    /// [--seed BASE] [--aborts R] [--hangs R] [--bitflips R]
-    /// [--pcie-stall R] [--pcie-corrupt R] [--attempts A]` — run seeded
-    /// fault campaigns through the resilient pipeline and check every
-    /// delivered result against the fault-free oracle.
-    Faults {
-        n: usize,
-        k: usize,
-        queries: usize,
-        queue: QueueKind,
-        seeds: u64,
-        seed: u64,
-        aborts: f64,
-        hangs: f64,
-        bitflips: f64,
-        pcie_stall: f64,
-        pcie_corrupt: f64,
-        attempts: u32,
-        journal: JournalArgs,
-    },
-    /// `serve [--arrivals poisson|uniform] [--seed S] [--duration-sim T]
-    /// [--rate R | --load L] [--deadline D | --deadline-factor F]
-    /// [--capacity C] [--policy reject|drop-newest|drop-oldest]
-    /// [--n N] [--dim D] [--k K] [--queries Q] [--tile T] [--stride S]
-    /// [--fault-plan SPEC] [--json] [--metrics-out FILE]
-    /// [--journal-out FILE ...]` — deterministic overload campaign
-    /// through the serving layer on the simulated clock.
-    Serve {
-        n: usize,
-        dim: usize,
-        k: usize,
-        queries: usize,
-        seed: u64,
-        duration: f64,
-        arrivals: ArrivalProcess,
-        rate: Option<f64>,
-        load: f64,
-        deadline: Option<f64>,
-        deadline_factor: f64,
-        capacity: usize,
-        policy: QueuePolicy,
-        tile: usize,
-        stride: usize,
-        threads: usize,
-        fault_plan: Option<FaultPlanArgs>,
-        json: bool,
-        metrics_out: Option<PathBuf>,
-        timeline_out: Option<PathBuf>,
-        journal: JournalArgs,
-    },
+    Profile(ProfileArgs),
+    Faults(FaultArgs),
+    Serve(ServeArgs),
     /// `report [JOURNAL.jsonl] [--top N] [--timeline TIMELINE.json]` —
     /// per-phase tail attribution (p99 vs p50 cohorts), retry/fallback
     /// breakdown and a slowest-query drill-down over a journal written
@@ -199,7 +547,7 @@ pub enum Command {
         top: usize,
         timeline: Option<PathBuf>,
     },
-    /// `--help`
+    /// `help`, or `--help` anywhere
     Help,
 }
 
@@ -208,281 +556,48 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
     let Some((cmd, rest)) = argv.split_first() else {
         return Ok(Command::Help);
     };
-    let mut flags: HashMap<String, String> = HashMap::new();
-    let mut bools: Vec<String> = Vec::new();
-    let mut positionals: Vec<String> = Vec::new();
-    let mut it = rest.iter();
-    while let Some(a) = it.next() {
-        if let Some(name) = a.strip_prefix("--") {
-            match name {
-                "json" | "help" => bools.push(name.to_string()),
-                _ => {
-                    let v = it.next().ok_or_else(|| format!("--{name} needs a value"))?;
-                    flags.insert(name.to_string(), v.clone());
-                }
-            }
-        } else if cmd == "report" {
-            positionals.push(a.clone());
-        } else {
-            return Err(format!("unexpected argument: {a}"));
-        }
+    let mut f = Flags::new(cmd, rest)?;
+    if f.switch("help") {
+        return Ok(Command::Help);
     }
-    let get = |k: &str| -> Result<&String, String> {
-        flags.get(k).ok_or_else(|| format!("missing --{k}"))
-    };
-    let get_usize = |k: &str| -> Result<usize, String> {
-        get(k)?
-            .parse()
-            .map_err(|_| format!("--{k} must be an integer"))
-    };
-    let queue = |flags: &HashMap<String, String>| -> Result<QueueKind, String> {
-        match flags.get("queue").map(String::as_str).unwrap_or("merge") {
-            "merge" => Ok(QueueKind::Merge),
-            "heap" => Ok(QueueKind::Heap),
-            "insertion" => Ok(QueueKind::Insertion),
-            other => Err(format!("unknown queue kind: {other}")),
-        }
-    };
-    // Worker threads of the native distance/select pipeline: 1 (default)
-    // runs on the calling thread, 0 resolves to the machine's parallelism at
-    // runtime (`RAYON_NUM_THREADS`, else available cores).
-    let threads = |flags: &HashMap<String, String>| -> Result<usize, String> {
-        flags
-            .get("threads")
-            .map(|s| {
-                s.parse::<usize>()
-                    .map_err(|_| "--threads must be an integer".to_string())
-            })
-            .transpose()
-            .map(|v| v.unwrap_or(1))
-    };
-    let journal = |flags: &HashMap<String, String>| -> Result<JournalArgs, String> {
-        let sample = flags
-            .get("journal-sample")
-            .map(|s| {
-                s.parse::<f64>()
-                    .map_err(|_| "--journal-sample must be a number".to_string())
-                    .and_then(|p| {
-                        if (0.0..=1.0).contains(&p) {
-                            Ok(p)
-                        } else {
-                            Err(format!("--journal-sample must be in [0, 1], got {p}"))
-                        }
-                    })
-            })
-            .transpose()?
-            .unwrap_or(1.0);
-        let exemplars = flags
-            .get("journal-exemplars")
-            .map(|s| {
-                s.parse::<usize>()
-                    .map_err(|_| "--journal-exemplars must be an integer".to_string())
-            })
-            .transpose()?
-            .unwrap_or(16);
-        Ok(JournalArgs {
-            out: flags.get("journal-out").map(PathBuf::from),
-            sample,
-            exemplars,
-        })
-    };
-    match cmd.as_str() {
-        "generate" => Ok(Command::Generate {
-            count: get_usize("count")?,
-            dim: get_usize("dim")?,
-            seed: flags
-                .get("seed")
-                .map(|s| {
-                    s.parse()
-                        .map_err(|_| "--seed must be an integer".to_string())
-                })
-                .transpose()?
-                .unwrap_or(0),
-            out: PathBuf::from(get("out")?),
-        }),
-        "search" => Ok(Command::Search {
-            refs: PathBuf::from(get("refs")?),
-            queries: PathBuf::from(get("queries")?),
-            dim: get_usize("dim")?,
-            k: get_usize("k")?,
-            metric: match flags
-                .get("metric")
-                .map(String::as_str)
-                .unwrap_or("euclidean")
-            {
-                "euclidean" => Metric::SquaredEuclidean,
-                "manhattan" => Metric::Manhattan,
-                "cosine" => Metric::Cosine,
-                "dot" => Metric::NegativeDot,
-                other => return Err(format!("unknown metric: {other}")),
-            },
-            queue: queue(&flags)?,
-            threads: threads(&flags)?,
-            json: bools.contains(&"json".to_string()),
-            metrics_out: flags.get("metrics-out").map(PathBuf::from),
-            timeline_out: flags.get("timeline-out").map(PathBuf::from),
-            journal: journal(&flags)?,
-        }),
-        "bench" => Ok(Command::Bench {
-            n: get_usize("n")?,
-            k: get_usize("k")?,
-            queue: queue(&flags)?,
-            threads: threads(&flags)?,
-            metrics_out: flags.get("metrics-out").map(PathBuf::from),
-            timeline_out: flags.get("timeline-out").map(PathBuf::from),
-            journal: journal(&flags)?,
-        }),
-        "stats" => {
-            let get_usize_or = |k: &str, default: usize| -> Result<usize, String> {
-                flags
-                    .get(k)
-                    .map(|s| s.parse().map_err(|_| format!("--{k} must be an integer")))
-                    .transpose()
-                    .map(|v| v.unwrap_or(default))
-            };
-            Ok(Command::Stats {
-                n: get_usize("n")?,
-                dim: get_usize_or("dim", 16)?,
-                k: get_usize_or("k", 16)?,
-                queries: get_usize_or("queries", 64)?,
-                threads: threads(&flags)?,
-                metrics_out: flags.get("metrics-out").map(PathBuf::from),
-                timeline_out: flags.get("timeline-out").map(PathBuf::from),
-                journal: journal(&flags)?,
-            })
-        }
-        "simulate" => Ok(Command::Simulate {
-            n: get_usize("n")?,
-            k: get_usize("k")?,
-            queue: queue(&flags)?,
-        }),
-        "profile" => Ok(Command::Profile {
-            n: get_usize("n")?,
-            k: get_usize("k")?,
-            queries: flags
-                .get("queries")
-                .map(|s| {
-                    s.parse()
-                        .map_err(|_| "--queries must be an integer".to_string())
-                })
-                .transpose()?
-                .unwrap_or(64),
-            queue: queue(&flags)?,
-            trace_out: flags.get("trace-out").map(PathBuf::from),
-            jsonl_out: flags.get("jsonl-out").map(PathBuf::from),
-        }),
-        "faults" => {
-            let get_or = |k: &str, default: f64| -> Result<f64, String> {
-                flags
-                    .get(k)
-                    .map(|s| s.parse().map_err(|_| format!("--{k} must be a number")))
-                    .transpose()
-                    .map(|v| v.unwrap_or(default))
-            };
-            let get_u64_or = |k: &str, default: u64| -> Result<u64, String> {
-                flags
-                    .get(k)
-                    .map(|s| s.parse().map_err(|_| format!("--{k} must be an integer")))
-                    .transpose()
-                    .map(|v| v.unwrap_or(default))
-            };
-            Ok(Command::Faults {
-                n: get_usize("n")?,
-                k: get_usize("k")?,
-                queries: get_u64_or("queries", 64)? as usize,
-                queue: queue(&flags)?,
-                seeds: get_u64_or("seeds", 4)?,
-                seed: get_u64_or("seed", 1)?,
-                aborts: get_or("aborts", 0.2)?,
-                hangs: get_or("hangs", 0.1)?,
-                bitflips: get_or("bitflips", 1e-4)?,
-                pcie_stall: get_or("pcie-stall", 0.1)?,
-                pcie_corrupt: get_or("pcie-corrupt", 0.05)?,
-                attempts: get_u64_or("attempts", 6)? as u32,
-                journal: journal(&flags)?,
-            })
-        }
-        "serve" => {
-            let get_usize_or = |k: &str, default: usize| -> Result<usize, String> {
-                flags
-                    .get(k)
-                    .map(|s| s.parse().map_err(|_| format!("--{k} must be an integer")))
-                    .transpose()
-                    .map(|v| v.unwrap_or(default))
-            };
-            let get_f64 = |k: &str| -> Result<Option<f64>, String> {
-                flags
-                    .get(k)
-                    .map(|s| s.parse().map_err(|_| format!("--{k} must be a number")))
-                    .transpose()
-            };
-            Ok(Command::Serve {
-                n: get_usize_or("n", 2048)?,
-                dim: get_usize_or("dim", 16)?,
-                k: get_usize_or("k", 16)?,
-                queries: get_usize_or("queries", 32)?,
-                seed: flags
-                    .get("seed")
-                    .map(|s| {
-                        s.parse()
-                            .map_err(|_| "--seed must be an integer".to_string())
-                    })
-                    .transpose()?
-                    .unwrap_or(1),
-                duration: get_f64("duration-sim")?.unwrap_or(0.0),
-                arrivals: match flags.get("arrivals").map(String::as_str) {
-                    None => ArrivalProcess::Poisson,
-                    Some(s) => ArrivalProcess::parse(s)
-                        .ok_or_else(|| format!("unknown arrival process: {s}"))?,
-                },
-                rate: get_f64("rate")?,
-                load: get_f64("load")?.unwrap_or(2.0),
-                deadline: get_f64("deadline")?,
-                deadline_factor: get_f64("deadline-factor")?.unwrap_or(8.0),
-                capacity: get_usize_or("capacity", 8)?,
-                policy: match flags.get("policy").map(String::as_str) {
-                    None => QueuePolicy::Reject,
-                    Some(s) => {
-                        QueuePolicy::parse(s).ok_or_else(|| format!("unknown queue policy: {s}"))?
-                    }
-                },
-                tile: get_usize_or("tile", 1024)?,
-                stride: get_usize_or("stride", 4)?,
-                threads: threads(&flags)?,
-                fault_plan: flags
-                    .get("fault-plan")
-                    .map(|s| parse_fault_plan(s))
-                    .transpose()?,
-                json: bools.contains(&"json".to_string()),
-                metrics_out: flags.get("metrics-out").map(PathBuf::from),
-                timeline_out: flags.get("timeline-out").map(PathBuf::from),
-                journal: journal(&flags)?,
-            })
-        }
+    let command = match cmd.as_str() {
+        "generate" => Command::Generate {
+            count: f.req("count")?,
+            dim: f.count("dim", None)?,
+            seed: f.or("seed", 0)?,
+            out: f.req("out")?,
+        },
+        "search" => Command::Search(SearchArgs::take(&mut f)?),
+        "bench" => Command::Bench(BenchArgs::take(&mut f)?),
+        "stats" => Command::Stats(StatsArgs::take(&mut f)?),
+        "simulate" => Command::Simulate {
+            n: f.req("n")?,
+            k: f.req("k")?,
+            queue: take_queue(&mut f)?,
+        },
+        "profile" => Command::Profile(ProfileArgs::take(&mut f)?),
+        "faults" => Command::Faults(FaultArgs::take(&mut f)?),
+        "serve" => Command::Serve(ServeArgs::take(&mut f)?),
         "report" => {
-            let timeline = flags.get("timeline").map(PathBuf::from);
-            if positionals.len() > 1 {
-                return Err("report takes at most one JOURNAL.jsonl path".to_string());
-            }
-            if positionals.is_empty() && timeline.is_none() {
+            let timeline = f.path("timeline");
+            let journal = f.positionals.pop();
+            if journal.is_none() && timeline.is_none() {
                 return Err("report needs a JOURNAL.jsonl path or --timeline FILE".to_string());
             }
-            Ok(Command::Report {
-                journal: positionals.first().map(PathBuf::from),
-                top: flags
-                    .get("top")
-                    .map(|s| {
-                        s.parse()
-                            .map_err(|_| "--top must be an integer".to_string())
-                    })
-                    .transpose()?
-                    .unwrap_or(5),
+            if !f.positionals.is_empty() {
+                return Err("report takes at most one JOURNAL.jsonl path".to_string());
+            }
+            Command::Report {
+                journal: journal.map(PathBuf::from),
+                top: f.or("top", 5)?,
                 timeline,
-            })
+            }
         }
-        "help" | "--help" | "-h" => Ok(Command::Help),
-        other => Err(format!("unknown command: {other}")),
-    }
+        "help" | "--help" | "-h" => Command::Help,
+        other => return Err(format!("unknown command: {other}")),
+    };
+    f.finish()?;
+    Ok(command)
 }
 
 /// Usage text.
@@ -524,14 +639,16 @@ USAGE:
   knn-cli report   [JOURNAL.jsonl] [--top N] [--timeline t.json]
   knn-cli help
 
+Unknown or repeated flags exit 2; --help after a subcommand prints this.
+
 `profile` runs the simulated pipeline with tracing on and prints a
 profile over *simulated* time; --trace-out writes a Chrome-trace JSON
 loadable in ui.perfetto.dev or chrome://tracing.
 
 `stats` sweeps the *native* streamed pipeline over tile sizes × queue
 kinds and prints wall-clock latency histograms (p50/p95/p99) plus the
-stream-merge counters. --metrics-out (also on search/bench) writes the
-collected metrics: OpenMetrics text exposition by default, or a JSON
+stream-merge counters. --metrics-out (also on search/bench/serve) writes
+the collected metrics: OpenMetrics text exposition by default, or a JSON
 snapshot when FILE ends in .json.
 
 `faults` injects a deterministic fault campaign (kernel aborts, hangs,
@@ -617,13 +734,13 @@ mod tests {
         ]))
         .unwrap();
         match c {
-            Command::Search {
+            Command::Search(SearchArgs {
                 metric,
                 queue,
                 json,
                 k,
                 ..
-            } => {
+            }) => {
                 assert_eq!(metric, Metric::SquaredEuclidean);
                 assert_eq!(queue, QueueKind::Merge);
                 assert!(!json);
@@ -653,12 +770,12 @@ mod tests {
         ]))
         .unwrap();
         match c {
-            Command::Search {
+            Command::Search(SearchArgs {
                 metric,
                 queue,
                 json,
                 ..
-            } => {
+            }) => {
                 assert_eq!(metric, Metric::Cosine);
                 assert_eq!(queue, QueueKind::Heap);
                 assert!(json);
@@ -682,14 +799,14 @@ mod tests {
         let c = parse(&v(&["profile", "--n", "4096", "--k", "32"])).unwrap();
         assert_eq!(
             c,
-            Command::Profile {
+            Command::Profile(ProfileArgs {
                 n: 4096,
                 k: 32,
                 queries: 64,
                 queue: QueueKind::Merge,
                 trace_out: None,
                 jsonl_out: None,
-            }
+            })
         );
         let c = parse(&v(&[
             "profile",
@@ -708,13 +825,13 @@ mod tests {
         ]))
         .unwrap();
         match c {
-            Command::Profile {
+            Command::Profile(ProfileArgs {
                 queries,
                 queue,
                 trace_out,
                 jsonl_out,
                 ..
-            } => {
+            }) => {
                 assert_eq!(queries, 32);
                 assert_eq!(queue, QueueKind::Heap);
                 assert_eq!(trace_out, Some(PathBuf::from("t.json")));
@@ -729,7 +846,7 @@ mod tests {
         let c = parse(&v(&["faults", "--n", "1000", "--k", "16"])).unwrap();
         assert_eq!(
             c,
-            Command::Faults {
+            Command::Faults(FaultArgs {
                 n: 1000,
                 k: 16,
                 queries: 64,
@@ -743,7 +860,7 @@ mod tests {
                 pcie_corrupt: 0.05,
                 attempts: 6,
                 journal: JournalArgs::default(),
-            }
+            })
         );
         let c = parse(&v(&[
             "faults",
@@ -772,7 +889,7 @@ mod tests {
         ]))
         .unwrap();
         match c {
-            Command::Faults {
+            Command::Faults(FaultArgs {
                 seeds,
                 seed,
                 aborts,
@@ -780,7 +897,7 @@ mod tests {
                 attempts,
                 queue,
                 ..
-            } => {
+            }) => {
                 assert_eq!(seeds, 2);
                 assert_eq!(seed, 9);
                 assert_eq!(aborts, 0.0);
@@ -799,16 +916,14 @@ mod tests {
         let c = parse(&v(&["stats", "--n", "8192"])).unwrap();
         assert_eq!(
             c,
-            Command::Stats {
+            Command::Stats(StatsArgs {
                 n: 8192,
                 dim: 16,
                 k: 16,
                 queries: 64,
                 threads: 1,
-                metrics_out: None,
-                timeline_out: None,
-                journal: JournalArgs::default(),
-            }
+                sinks: Sinks::default(),
+            })
         );
         let c = parse(&v(&[
             "stats",
@@ -826,16 +941,17 @@ mod tests {
         .unwrap();
         assert_eq!(
             c,
-            Command::Stats {
+            Command::Stats(StatsArgs {
                 n: 4096,
                 dim: 32,
                 k: 8,
                 queries: 10,
                 threads: 1,
-                metrics_out: Some(PathBuf::from("m.json")),
-                timeline_out: None,
-                journal: JournalArgs::default(),
-            }
+                sinks: Sinks {
+                    metrics_out: Some(PathBuf::from("m.json")),
+                    ..Sinks::default()
+                },
+            })
         );
         assert!(parse(&v(&["stats"])).is_err()); // --n required
         assert!(parse(&v(&["stats", "--n", "many"])).is_err());
@@ -855,15 +971,16 @@ mod tests {
         .unwrap();
         assert_eq!(
             c,
-            Command::Bench {
+            Command::Bench(BenchArgs {
                 n: 1000,
                 k: 16,
                 queue: QueueKind::Merge,
                 threads: 1,
-                metrics_out: Some(PathBuf::from("m.txt")),
-                timeline_out: None,
-                journal: JournalArgs::default(),
-            }
+                sinks: Sinks {
+                    metrics_out: Some(PathBuf::from("m.txt")),
+                    ..Sinks::default()
+                },
+            })
         );
         let c = parse(&v(&[
             "search",
@@ -880,8 +997,8 @@ mod tests {
         ]))
         .unwrap();
         match c {
-            Command::Search { metrics_out, .. } => {
-                assert_eq!(metrics_out, Some(PathBuf::from("m.txt")));
+            Command::Search(a) => {
+                assert_eq!(a.sinks.metrics_out, Some(PathBuf::from("m.txt")));
             }
             _ => panic!("wrong command"),
         }
@@ -892,11 +1009,11 @@ mod tests {
     fn threads_parses_on_all_native_commands() {
         // default is 1 (one worker)
         match parse(&v(&["bench", "--n", "100", "--k", "4"])).unwrap() {
-            Command::Bench { threads, .. } => assert_eq!(threads, 1),
+            Command::Bench(a) => assert_eq!(a.threads, 1),
             _ => panic!("wrong command"),
         }
         match parse(&v(&["bench", "--n", "100", "--k", "4", "--threads", "8"])).unwrap() {
-            Command::Bench { threads, .. } => assert_eq!(threads, 8),
+            Command::Bench(a) => assert_eq!(a.threads, 8),
             _ => panic!("wrong command"),
         }
         match parse(&v(&[
@@ -914,16 +1031,16 @@ mod tests {
         ]))
         .unwrap()
         {
-            Command::Search { threads, .. } => assert_eq!(threads, 4),
+            Command::Search(a) => assert_eq!(a.threads, 4),
             _ => panic!("wrong command"),
         }
         // 0 = auto-detect at runtime
         match parse(&v(&["stats", "--n", "100", "--threads", "0"])).unwrap() {
-            Command::Stats { threads, .. } => assert_eq!(threads, 0),
+            Command::Stats(a) => assert_eq!(a.threads, 0),
             _ => panic!("wrong command"),
         }
         match parse(&v(&["serve", "--threads", "2"])).unwrap() {
-            Command::Serve { threads, .. } => assert_eq!(threads, 2),
+            Command::Serve(a) => assert_eq!(a.threads, 2),
             _ => panic!("wrong command"),
         }
         assert!(parse(&v(&["bench", "--n", "10", "--k", "2", "--threads", "two"])).is_err());
@@ -940,7 +1057,8 @@ mod tests {
     fn journal_flags_parse_with_defaults_and_overrides() {
         let c = parse(&v(&["stats", "--n", "1000", "--journal-out", "j.jsonl"])).unwrap();
         match c {
-            Command::Stats { journal, .. } => {
+            Command::Stats(StatsArgs { sinks, .. }) => {
+                let journal = sinks.journal;
                 assert_eq!(journal.out, Some(PathBuf::from("j.jsonl")));
                 assert_eq!(journal.sample, 1.0);
                 assert_eq!(journal.exemplars, 16);
@@ -962,7 +1080,8 @@ mod tests {
         ]))
         .unwrap();
         match c {
-            Command::Bench { journal, .. } => {
+            Command::Bench(BenchArgs { sinks, .. }) => {
+                let journal = sinks.journal;
                 assert_eq!(journal.sample, 0.01);
                 assert_eq!(journal.exemplars, 8);
             }
@@ -980,15 +1099,21 @@ mod tests {
         ]))
         .unwrap();
         match c {
-            Command::Faults { journal, .. } => {
+            Command::Faults(FaultArgs { journal, .. }) => {
                 assert_eq!(journal.out, Some(PathBuf::from("f.jsonl")))
             }
             _ => panic!("wrong command"),
         }
         // out-of-range / malformed values are named errors
-        assert!(parse(&v(&["stats", "--n", "10", "--journal-sample", "1.5"])).is_err());
-        assert!(parse(&v(&["stats", "--n", "10", "--journal-sample", "lots"])).is_err());
-        assert!(parse(&v(&["stats", "--n", "10", "--journal-exemplars", "-2"])).is_err());
+        let stats_j = |flag: &str, val: &str| {
+            parse(&v(&["stats", "--n", "10", "--journal-out", "j", flag, val]))
+        };
+        assert!(stats_j("--journal-sample", "1.5").is_err());
+        assert!(stats_j("--journal-sample", "lots").is_err());
+        assert!(stats_j("--journal-exemplars", "-2").is_err());
+        // the sub-flags mean nothing without a journal to shape
+        let e = parse(&v(&["stats", "--n", "10", "--journal-sample", "0.5"])).unwrap_err();
+        assert!(e.contains("need --journal-out"), "{e}");
     }
 
     #[test]
@@ -996,7 +1121,7 @@ mod tests {
         let c = parse(&v(&["serve"])).unwrap();
         assert_eq!(
             c,
-            Command::Serve {
+            Command::Serve(ServeArgs {
                 n: 2048,
                 dim: 16,
                 k: 16,
@@ -1015,10 +1140,8 @@ mod tests {
                 threads: 1,
                 fault_plan: None,
                 json: false,
-                metrics_out: None,
-                timeline_out: None,
-                journal: JournalArgs::default(),
-            }
+                sinks: Sinks::default(),
+            })
         );
         let c = parse(&v(&[
             "serve",
@@ -1040,7 +1163,7 @@ mod tests {
         ]))
         .unwrap();
         match c {
-            Command::Serve {
+            Command::Serve(ServeArgs {
                 arrivals,
                 seed,
                 duration,
@@ -1050,7 +1173,7 @@ mod tests {
                 fault_plan,
                 json,
                 ..
-            } => {
+            }) => {
                 assert_eq!(arrivals, ArrivalProcess::Uniform);
                 assert_eq!(seed, 7);
                 assert_eq!(duration, 0.25);
@@ -1134,8 +1257,8 @@ mod tests {
         ]))
         .unwrap()
         {
-            Command::Stats { timeline_out, .. } => {
-                assert_eq!(timeline_out, Some(PathBuf::from("t.trace.json")))
+            Command::Stats(a) => {
+                assert_eq!(a.sinks.timeline_out, Some(PathBuf::from("t.trace.json")))
             }
             _ => panic!("wrong command"),
         }
@@ -1150,8 +1273,8 @@ mod tests {
         ]))
         .unwrap()
         {
-            Command::Bench { timeline_out, .. } => {
-                assert_eq!(timeline_out, Some(PathBuf::from("t.json")))
+            Command::Bench(a) => {
+                assert_eq!(a.sinks.timeline_out, Some(PathBuf::from("t.json")))
             }
             _ => panic!("wrong command"),
         }
@@ -1170,17 +1293,141 @@ mod tests {
         ]))
         .unwrap()
         {
-            Command::Search { timeline_out, .. } => {
-                assert_eq!(timeline_out, Some(PathBuf::from("t.json")))
+            Command::Search(a) => {
+                assert_eq!(a.sinks.timeline_out, Some(PathBuf::from("t.json")))
             }
             _ => panic!("wrong command"),
         }
         match parse(&v(&["serve", "--timeline-out", "t.json"])).unwrap() {
-            Command::Serve { timeline_out, .. } => {
-                assert_eq!(timeline_out, Some(PathBuf::from("t.json")))
+            Command::Serve(a) => {
+                assert_eq!(a.sinks.timeline_out, Some(PathBuf::from("t.json")))
             }
             _ => panic!("wrong command"),
         }
         assert!(parse(&v(&["stats", "--n", "10", "--timeline-out"])).is_err());
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected_with_a_suggestion() {
+        let e = parse(&v(&["bench", "--n", "10", "--k", "2", "--thread", "2"])).unwrap_err();
+        assert_eq!(e, "`bench` has no --thread (did you mean --threads?)");
+        // a flag of another subcommand, far from every name bench takes
+        let e = parse(&v(&["bench", "--n", "10", "--k", "2", "--trace-out", "t"])).unwrap_err();
+        assert_eq!(e, "`bench` has no --trace-out");
+        let e = parse(&v(&["simulate", "--n", "10", "--k", "2", "--threads", "4"])).unwrap_err();
+        assert!(e.starts_with("`simulate` has no --threads"), "{e}");
+        // `faults` takes the journal group but not the other sinks
+        let e = parse(&v(&[
+            "faults",
+            "--n",
+            "9",
+            "--k",
+            "2",
+            "--metrics-out",
+            "m",
+        ]))
+        .unwrap_err();
+        assert!(e.starts_with("`faults` has no --metrics-out"), "{e}");
+    }
+
+    #[test]
+    fn repeated_flags_are_rejected() {
+        let e = parse(&v(&["bench", "--n", "2048", "--k", "16", "--n", "5"])).unwrap_err();
+        assert_eq!(e, "--n given twice");
+        let e = parse(&v(&["serve", "--json", "--json"])).unwrap_err();
+        assert_eq!(e, "--json given twice");
+    }
+
+    #[test]
+    fn switches_are_rejected_where_they_mean_nothing() {
+        let e = parse(&v(&["bench", "--n", "10", "--k", "2", "--json"])).unwrap_err();
+        assert_eq!(e, "`bench` has no --json");
+        assert!(parse(&v(&["stats", "--n", "10", "--json"])).is_err());
+        assert!(parse(&v(&["help", "--json"])).is_err());
+    }
+
+    #[test]
+    fn help_after_a_subcommand_is_help() {
+        assert_eq!(
+            parse(&v(&["bench", "--n", "10", "--k", "2", "--help"])).unwrap(),
+            Command::Help
+        );
+        // even when the rest of the invocation would not parse
+        assert_eq!(
+            parse(&v(&["serve", "--help", "--rate", "0"])).unwrap(),
+            Command::Help
+        );
+        assert_eq!(parse(&v(&["--help"])).unwrap(), Command::Help);
+    }
+
+    #[test]
+    fn values_that_could_only_panic_or_do_nothing_are_rejected() {
+        let bad: &[&[&str]] = &[
+            &["generate", "--count", "3", "--dim", "0", "--out", "x"],
+            &[
+                "search",
+                "--refs",
+                "r",
+                "--queries",
+                "q",
+                "--dim",
+                "0",
+                "--k",
+                "1",
+            ],
+            &["stats", "--n", "512", "--k", "8", "--dim", "0"],
+            &["stats", "--n", "512", "--k", "8", "--queries", "0"],
+            &["profile", "--n", "512", "--k", "8", "--queries", "0"],
+            &["faults", "--n", "512", "--k", "8", "--queries", "0"],
+            &["faults", "--n", "512", "--k", "8", "--seeds", "0"],
+            &["faults", "--n", "512", "--k", "8", "--attempts", "0"],
+            // parsed at the field's own type, not as u64 then truncated
+            &[
+                "faults",
+                "--n",
+                "512",
+                "--k",
+                "8",
+                "--attempts",
+                "4294967297",
+            ],
+            &[
+                "faults",
+                "--n",
+                "5",
+                "--k",
+                "1",
+                "--seed",
+                "2",
+                "--seeds",
+                "18446744073709551615",
+            ],
+            &["serve", "--tile", "0"],
+            &["serve", "--stride", "0"],
+            &["serve", "--dim", "0"],
+            &["serve", "--queries", "0"],
+            &["serve", "--rate", "0"],
+            &["serve", "--rate", "inf"],
+            &["serve", "--load", "-1"],
+            &["serve", "--load", "nan"],
+            &["serve", "--deadline", "-1"],
+            &["serve", "--deadline-factor", "0"],
+            &["serve", "--duration-sim", "-5"],
+            &["serve", "--duration-sim", "inf"],
+            // alternatives: one of each pair would be silently dropped
+            &["serve", "--rate", "100", "--load", "3"],
+            &["serve", "--deadline", "0.1", "--deadline-factor", "4"],
+        ];
+        for argv in bad {
+            assert!(parse(&v(argv)).is_err(), "{argv:?} must not parse");
+        }
+        // the largest seed range that fits still parses
+        let top = u64::MAX.to_string();
+        let c = parse(&v(&[
+            "faults", "--n", "5", "--k", "1", "--seed", "0", "--seeds", &top,
+        ]));
+        assert!(c.is_ok(), "{c:?}");
+        // k is checked against n at run time (exit 1, invalid-k), not here
+        assert!(parse(&v(&["serve", "--k", "0"])).is_ok());
     }
 }

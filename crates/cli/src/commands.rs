@@ -1,6 +1,6 @@
 //! Command implementations for `knn-cli`.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::time::Instant;
 
 use knn::{validate_points, Metric, PointSet};
@@ -10,7 +10,10 @@ use rand::{Rng, SeedableRng};
 use simt::TimingModel;
 use trace::{EventJournal, Journal as _, JournalConfig, MetricsRegistry, QueryRecord};
 
-use crate::args::{Command, FaultPlanArgs, JournalArgs};
+use crate::args::{
+    BenchArgs, Command, FaultArgs, JournalArgs, ProfileArgs, SearchArgs, ServeArgs, Sinks,
+    StatsArgs,
+};
 use crate::io;
 
 /// Round k up to a valid Merge Queue capacity (m·2^j with the fixed
@@ -45,23 +48,32 @@ fn checked_padded_k(queue: QueueKind, k: usize, n: usize) -> Option<usize> {
     None
 }
 
-/// Write a metrics snapshot to `path`: OpenMetrics text exposition by
-/// default, a JSON snapshot when the filename ends in `.json`.
-fn write_metrics(path: &Path, snap: &trace::MetricsSnapshot) -> std::io::Result<()> {
-    let body = if path.extension().is_some_and(|e| e == "json") {
+/// Write `body` to `path`; on failure say so on stderr and return
+/// `false`.
+fn write_file(path: &Path, body: String) -> bool {
+    let res = std::fs::write(path, body);
+    if let Err(e) = &res {
+        eprintln!("error writing {}: {e}", path.display());
+    }
+    res.is_ok()
+}
+
+/// A metrics snapshot as written to `path`: OpenMetrics text exposition
+/// by default, a JSON snapshot when the filename ends in `.json`.
+fn metrics_body(path: &Path, snap: &trace::MetricsSnapshot) -> String {
+    if path.extension().is_some_and(|e| e == "json") {
         snap.to_json()
     } else {
         trace::openmetrics::render(snap)
-    };
-    std::fs::write(path, body)
+    }
 }
 
-/// Write a timeline report to `path`: a Chrome trace (one `tid` per
-/// worker, open in ui.perfetto.dev) when the filename ends in
+/// A timeline report as written to `path`: a Chrome trace (one `tid`
+/// per worker, open in ui.perfetto.dev) when the filename ends in
 /// `.trace.json`, the versioned [`trace::TimelineReport`] JSON
 /// otherwise.
-fn write_timeline(path: &Path, report: &trace::TimelineReport) -> std::io::Result<()> {
-    let body = if path
+fn timeline_body(path: &Path, report: &trace::TimelineReport) -> String {
+    if path
         .file_name()
         .and_then(|f| f.to_str())
         .is_some_and(|f| f.ends_with(".trace.json"))
@@ -69,8 +81,7 @@ fn write_timeline(path: &Path, report: &trace::TimelineReport) -> std::io::Resul
         trace::chrome::timeline_to_chrome_json(report)
     } else {
         report.to_json()
-    };
-    std::fs::write(path, body)
+    }
 }
 
 /// Per-worker utilization table over a folded timeline report — the
@@ -111,16 +122,40 @@ fn render_timeline_table(r: &trace::TimelineReport) -> String {
     out
 }
 
-/// Write the timeline artifact and print the utilization table.
-/// Returns `false` on I/O failure.
-fn emit_timeline(path: &Path, report: &trace::TimelineReport) -> bool {
-    if let Err(e) = write_timeline(path, report) {
-        eprintln!("error writing {}: {e}", path.display());
-        return false;
+/// The recorder `--timeline-out` asks for, one track per worker.
+fn timeline_recorder(sinks: &Sinks, workers: usize) -> Option<trace::TimelineRecorder> {
+    sinks
+        .timeline_out
+        .as_ref()
+        .map(|_| trace::TimelineRecorder::new(workers))
+}
+
+/// Write the artifacts `sinks` asks for: the timeline (plus its
+/// utilization table), the metrics snapshot with that timeline embedded,
+/// and the journal. Every "wrote …" line goes to stderr, so `--json`
+/// stdout stays parseable. Returns `false` on the first I/O failure.
+fn write_artifacts(
+    sinks: &Sinks,
+    registry: Option<&MetricsRegistry>,
+    timeline: Option<&trace::TimelineReport>,
+    journal: Option<&EventJournal>,
+) -> bool {
+    if let (Some(path), Some(report)) = (&sinks.timeline_out, timeline) {
+        if !write_file(path, timeline_body(path, report)) {
+            return false;
+        }
+        eprintln!("wrote timeline to {}", path.display());
+        eprint!("{}", render_timeline_table(report));
     }
-    eprintln!("wrote timeline to {}", path.display());
-    eprint!("{}", render_timeline_table(report));
-    true
+    if let (Some(path), Some(reg)) = (&sinks.metrics_out, registry) {
+        let mut snap = reg.snapshot();
+        snap.timeline = timeline.cloned();
+        if !write_file(path, metrics_body(path, &snap)) {
+            return false;
+        }
+        eprintln!("wrote metrics to {}", path.display());
+    }
+    journal.is_none_or(|j| write_journal(&sinks.journal, j))
 }
 
 /// Record the resolved runtime configuration as snapshot gauges/labels,
@@ -151,24 +186,19 @@ fn make_journal(a: &JournalArgs) -> Option<EventJournal> {
 fn write_journal(a: &JournalArgs, j: &EventJournal) -> bool {
     let Some(path) = &a.out else { return true };
     let records = j.snapshot();
-    match std::fs::write(path, trace::journal::to_jsonl(&records)) {
-        Ok(()) => {
-            let s = j.stats();
-            eprintln!(
-                "wrote {} journal record(s) to {} (saw {}, sampled {}, evicted {})",
-                records.len(),
-                path.display(),
-                s.seen,
-                s.sampled_in,
-                s.evicted,
-            );
-            true
-        }
-        Err(e) => {
-            eprintln!("error writing {}: {e}", path.display());
-            false
-        }
+    if !write_file(path, trace::journal::to_jsonl(&records)) {
+        return false;
     }
+    let s = j.stats();
+    eprintln!(
+        "wrote {} journal record(s) to {} (saw {}, sampled {}, evicted {})",
+        records.len(),
+        path.display(),
+        s.seen,
+        s.sampled_in,
+        s.evicted,
+    );
+    true
 }
 
 /// The warning `profile` prints when a tracer finished with spans still
@@ -200,432 +230,280 @@ pub fn run(cmd: Command) -> i32 {
             dim,
             seed,
             out,
-        } => {
-            let pts = PointSet::uniform(count, dim, seed);
-            match io::save_points(&out, &pts) {
-                Ok(()) => {
-                    println!(
-                        "wrote {count} × {dim}-d points ({} bytes) to {}",
-                        count * dim * 4,
-                        out.display()
-                    );
-                    0
-                }
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    1
-                }
-            }
-        }
-        Command::Search {
-            refs,
-            queries,
-            dim,
-            k,
-            metric,
-            queue,
-            threads,
-            json,
-            metrics_out,
-            timeline_out,
-            journal,
-        } => {
-            let refs = match io::load_points(&refs, dim) {
-                Ok(p) => p,
-                Err(e) => {
-                    eprintln!("error loading refs: {e}");
-                    return 1;
-                }
-            };
-            let queries = match io::load_points(&queries, dim) {
-                Ok(p) => p,
-                Err(e) => {
-                    eprintln!("error loading queries: {e}");
-                    return 1;
-                }
-            };
-            let Some(kk) = checked_padded_k(queue, k, refs.len()) else {
-                return 1;
-            };
-            for (pts, label) in [(&queries, "query"), (&refs, "reference")] {
-                if let Err(e) = validate_points(pts, label) {
-                    eprintln!("error: {}: {e}", e.name());
-                    return 1;
-                }
-            }
-            let cfg = SelectConfig::optimized(queue, kk);
-            let registry = metrics_out.as_ref().map(|_| MetricsRegistry::new());
-            let jn = make_journal(&journal);
-            let workers = knn::resolve_threads(threads);
-            let parallel = workers > 1 && metric == Metric::SquaredEuclidean;
-            if workers > 1 && !parallel {
-                eprintln!(
-                    "note: --threads applies to the squared-euclidean streamed pipeline \
-                     only; {metric:?} runs sequentially"
-                );
-            }
-            if let Some(reg) = &registry {
-                record_runtime_config(reg, workers);
-            }
-            let tl_rec = timeline_out
-                .as_ref()
-                .map(|_| trace::TimelineRecorder::new(workers));
-            let tlo = tl_rec.as_ref().map(knn::metered::TimelineObserver::new);
-            let ins = knn::Instruments {
-                registry: registry.as_ref(),
-                journal: jn.as_ref().map(|j| j as &dyn trace::Journal),
-                timeline: tlo.as_ref(),
-                tag: "search",
-            };
-            let t0 = Instant::now();
-            let mut results = if parallel {
-                let tile = knn::DEFAULT_STREAM_TILE;
-                knn::knn_search_streamed_instrumented(&queries, &refs, &cfg, tile, workers, &ins)
-            } else {
-                knn::knn_search_with_instrumented(&queries, &refs, &cfg, metric, &ins)
-            };
-            for r in &mut results {
-                r.truncate(k);
-            }
-            let dt = t0.elapsed().as_secs_f64();
-            let tl_report = tlo.as_ref().map(|tl| tl.report());
-            if let (Some(path), Some(report)) = (&timeline_out, &tl_report) {
-                if !emit_timeline(path, report) {
-                    return 1;
-                }
-            }
-            if let (Some(path), Some(reg)) = (&metrics_out, &registry) {
-                let mut snap = reg.snapshot();
-                snap.timeline = tl_report.clone();
-                if let Err(e) = write_metrics(path, &snap) {
-                    eprintln!("error writing {}: {e}", path.display());
-                    return 1;
-                }
-            }
-            if json {
-                let rows: Vec<Vec<(u32, f32)>> = results
-                    .iter()
-                    .map(|r| r.iter().map(|n| (n.id, n.dist)).collect())
-                    .collect();
-                match serde_json::to_string(&rows) {
-                    Ok(s) => println!("{s}"),
-                    Err(e) => {
-                        eprintln!("error serializing results: {e}");
-                        return 1;
-                    }
-                }
-            } else {
-                println!(
-                    "{} queries × {} refs (dim {dim}, {metric:?}, {queue:?}) in {:.1} ms \
-                     [kernel {}, threads {workers}]",
-                    queries.len(),
-                    refs.len(),
-                    dt * 1e3,
-                    knn::dispatch_name(),
-                );
-                for (qi, r) in results.iter().enumerate() {
-                    let ids: Vec<u32> = r.iter().map(|n| n.id).collect();
-                    println!("query {qi}: {ids:?}");
-                }
-            }
-            if let Some(j) = &jn {
-                if !write_journal(&journal, j) {
-                    return 1;
-                }
-            }
-            0
-        }
-        Command::Bench {
-            n,
-            k,
-            queue,
-            threads,
-            metrics_out,
-            timeline_out,
-            journal,
-        } => {
-            // The selection microbenchmark itself is single-query serial;
-            // --threads is recorded for report parity with the pipeline
-            // commands (and resolved, so `--threads 0` shows the detected
-            // count).
-            let workers = knn::resolve_threads(threads);
-            println!(
-                "native kernel: {} | threads: {workers}",
-                knn::dispatch_name()
-            );
-            let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-            let dists: Vec<f32> = (0..n).map(|_| rng.gen()).collect();
-            let Some(kk) = checked_padded_k(queue, k, n) else {
-                return 1;
-            };
-            let registry = metrics_out.as_ref().map(|_| MetricsRegistry::new());
-            let jn = make_journal(&journal);
-            // The bench is single-threaded, so its timeline is one
-            // track with one service span per configuration — useful
-            // mostly as a schema-stable artifact for tooling tests.
-            let tl_rec = timeline_out
-                .as_ref()
-                .map(|_| trace::TimelineRecorder::new(1));
-            let tlo = tl_rec.as_ref().map(knn::metered::TimelineObserver::new);
-            let mut iter_id = 0u64;
-            for (run_idx, (label, metric_name, cfg)) in [
-                (
-                    "plain",
-                    "bench.plain.select_ns",
-                    SelectConfig::plain(queue, kk),
-                ),
-                (
-                    "optimized (buf+hp)",
-                    "bench.optimized.select_ns",
-                    SelectConfig::optimized(queue, kk),
-                ),
-            ]
-            .into_iter()
-            .enumerate()
-            {
-                let t0 = Instant::now();
-                let iters = 10;
-                let mut run_iters = || {
-                    for _ in 0..iters {
-                        let ti = (registry.is_some() || jn.is_some()).then(Instant::now);
-                        std::hint::black_box(select_k(std::hint::black_box(&dists), &cfg));
-                        if let Some(ti) = ti {
-                            let ns = ti.elapsed().as_nanos() as u64;
-                            if let Some(reg) = &registry {
-                                reg.observe_ns(metric_name, ns);
-                            }
-                            // One journal record per select call: bench has no
-                            // per-query pipeline, so the whole iteration is its
-                            // "select" phase.
-                            if let Some(j) = &jn {
-                                j.record(QueryRecord {
-                                    query: iter_id,
-                                    queue: format!("{queue:?}").to_lowercase(),
-                                    tag: label.to_string(),
-                                    total_ns: ns,
-                                    phase_ns: vec![(
-                                        trace::journal::phases::SELECT.to_string(),
-                                        ns,
-                                    )],
-                                    blocks: 1,
-                                    status: "ok".to_string(),
-                                    attempts: 1,
-                                    ..QueryRecord::default()
-                                });
-                                iter_id += 1;
-                            }
-                        }
-                    }
-                };
-                match &tlo {
-                    Some(tl) => tl.service(0, run_idx as u64, run_iters),
-                    None => run_iters(),
-                }
-                let per = t0.elapsed().as_secs_f64() / iters as f64;
-                println!(
-                    "{:<20} n={n} k={k}: {:>9.3} ms/query ({:.1} Melem/s)",
-                    label,
-                    per * 1e3,
-                    n as f64 / per / 1e6
-                );
-            }
-            let tl_report = tlo.as_ref().map(|tl| tl.report());
-            if let (Some(path), Some(report)) = (&timeline_out, &tl_report) {
-                if !emit_timeline(path, report) {
-                    return 1;
-                }
-            }
-            if let (Some(path), Some(reg)) = (&metrics_out, &registry) {
-                reg.set_gauge("bench.n", n as f64);
-                reg.set_gauge("bench.k", k as f64);
-                reg.set_gauge("bench.threads", workers as f64);
-                record_runtime_config(reg, workers);
-                let mut snap = reg.snapshot();
-                snap.timeline = tl_report.clone();
-                if let Err(e) = write_metrics(path, &snap) {
-                    eprintln!("error writing {}: {e}", path.display());
-                    return 1;
-                }
-                println!("wrote metrics to {}", path.display());
-            }
-            if let Some(j) = &jn {
-                if !write_journal(&journal, j) {
-                    return 1;
-                }
-            }
-            0
-        }
-        Command::Stats {
-            n,
-            dim,
-            k,
-            queries,
-            threads,
-            metrics_out,
-            timeline_out,
-            journal,
-        } => run_stats(
-            n,
-            dim,
-            k,
-            queries,
-            threads,
-            metrics_out,
-            timeline_out,
-            journal,
-        ),
-        Command::Simulate { n, k, queue } => {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-            let flat: Vec<f32> = (0..32 * n).map(|_| rng.gen()).collect();
-            let dm = DistanceMatrix::from_row_major(&flat, 32, n);
-            let tm = TimingModel::tesla_c2075();
-            let Some(kk) = checked_padded_k(queue, k, n) else {
-                return 1;
-            };
-            println!("simulated Tesla C2075, one warp (32 queries), n={n} k={k}\n");
-            let reports: Vec<simt::KernelReport> = [
-                ("plain", SelectConfig::plain(queue, kk)),
-                (
-                    "optimized (aligned+buf+hp)",
-                    SelectConfig::optimized(queue, kk),
-                ),
-            ]
-            .into_iter()
-            .map(|(label, cfg)| {
-                let res = gpu_select_k(&tm.spec, &dm, &cfg);
-                simt::KernelReport::new(label, &res.metrics, &tm)
-            })
-            .collect();
-            print!("{}", simt::comparison_table(&reports));
-            0
-        }
-        Command::Profile {
-            n,
-            k,
-            queries,
-            queue,
-            trace_out,
-            jsonl_out,
-        } => {
-            const DIM: usize = 16;
-            let refs = PointSet::uniform(n, DIM, 11);
-            let qs = PointSet::uniform(queries, DIM, 12);
-            let tm = TimingModel::tesla_c2075();
-            let Some(kk) = checked_padded_k(queue, k, n) else {
-                return 1;
-            };
-            let cfg = SelectConfig::optimized(queue, kk);
-            let mut tracer = trace::Tracer::new();
-            let res = knn::gpu_knn_traced(&tm, &qs, &refs, &cfg, &mut tracer);
-            println!(
-                "profiled {queries} queries × {n} refs (dim {DIM}, {queue:?}, k={k}): \
-                 distance {:.3} ms + select {:.3} ms simulated\n",
-                res.distance_time * 1e3,
-                res.select_time * 1e3
-            );
-            print!("{}", trace::summary::render_summary(&tracer));
-            if let Some(w) = tracer_imbalance_warning(&tracer) {
-                eprintln!("{w}");
-            }
-            if let Some(path) = trace_out {
-                if let Err(e) = std::fs::write(&path, trace::chrome::to_chrome_json(&tracer)) {
-                    eprintln!("error writing {}: {e}", path.display());
-                    return 1;
-                }
-                println!(
-                    "\nwrote Chrome trace to {} (open in ui.perfetto.dev)",
-                    path.display()
-                );
-            }
-            if let Some(path) = jsonl_out {
-                if let Err(e) = std::fs::write(&path, trace::jsonl::to_jsonl(&tracer)) {
-                    eprintln!("error writing {}: {e}", path.display());
-                    return 1;
-                }
-                println!("wrote JSONL event log to {}", path.display());
-            }
-            0
-        }
-        Command::Faults {
-            n,
-            k,
-            queries,
-            queue,
-            seeds,
-            seed,
-            aborts,
-            hangs,
-            bitflips,
-            pcie_stall,
-            pcie_corrupt,
-            attempts,
-            journal,
-        } => run_faults(FaultArgs {
-            n,
-            k,
-            queries,
-            queue,
-            seeds,
-            seed,
-            aborts,
-            hangs,
-            bitflips,
-            pcie_stall,
-            pcie_corrupt,
-            attempts,
-            journal,
-        }),
-        Command::Serve {
-            n,
-            dim,
-            k,
-            queries,
-            seed,
-            duration,
-            arrivals,
-            rate,
-            load,
-            deadline,
-            deadline_factor,
-            capacity,
-            policy,
-            tile,
-            stride,
-            threads,
-            fault_plan,
-            json,
-            metrics_out,
-            timeline_out,
-            journal,
-        } => run_serve(ServeCliArgs {
-            n,
-            dim,
-            k,
-            queries,
-            seed,
-            duration,
-            arrivals,
-            rate,
-            load,
-            deadline,
-            deadline_factor,
-            capacity,
-            policy,
-            tile,
-            stride,
-            threads,
-            fault_plan,
-            json,
-            metrics_out,
-            timeline_out,
-            journal,
-        }),
+        } => run_generate(count, dim, seed, &out),
+        Command::Search(a) => run_search(a),
+        Command::Bench(a) => run_bench(a),
+        Command::Stats(a) => run_stats(a),
+        Command::Simulate { n, k, queue } => run_simulate(n, k, queue),
+        Command::Profile(a) => run_profile(a),
+        Command::Faults(a) => run_faults(a),
+        Command::Serve(a) => run_serve(a),
         Command::Report {
             journal,
             top,
             timeline,
         } => run_report(journal.as_deref(), top, timeline.as_deref()),
     }
+}
+
+fn run_generate(count: usize, dim: usize, seed: u64, out: &Path) -> i32 {
+    let pts = PointSet::uniform(count, dim, seed);
+    if let Err(e) = io::save_points(out, &pts) {
+        eprintln!("error: {e}");
+        return 1;
+    }
+    println!(
+        "wrote {count} × {dim}-d points ({} bytes) to {}",
+        count * dim * 4,
+        out.display()
+    );
+    0
+}
+
+fn run_search(a: SearchArgs) -> i32 {
+    let load = |path: &Path, what: &str| {
+        io::load_points(path, a.dim).map_err(|e| eprintln!("error loading {what}: {e}"))
+    };
+    let (Ok(refs), Ok(queries)) = (load(&a.refs, "refs"), load(&a.queries, "queries")) else {
+        return 1;
+    };
+    let Some(kk) = checked_padded_k(a.queue, a.k, refs.len()) else {
+        return 1;
+    };
+    for (pts, label) in [(&queries, "query"), (&refs, "reference")] {
+        if let Err(e) = validate_points(pts, label) {
+            eprintln!("error: {}: {e}", e.name());
+            return 1;
+        }
+    }
+    let cfg = SelectConfig::optimized(a.queue, kk);
+    let registry = a.sinks.metrics_out.as_ref().map(|_| MetricsRegistry::new());
+    let jn = make_journal(&a.sinks.journal);
+    let workers = knn::resolve_threads(a.threads);
+    let metric = a.metric;
+    let parallel = workers > 1 && metric == Metric::SquaredEuclidean;
+    if workers > 1 && !parallel {
+        eprintln!(
+            "note: --threads applies to the squared-euclidean streamed pipeline \
+             only; {metric:?} runs sequentially"
+        );
+    }
+    if let Some(reg) = &registry {
+        record_runtime_config(reg, workers);
+    }
+    let tl_rec = timeline_recorder(&a.sinks, workers);
+    let tlo = tl_rec.as_ref().map(knn::metered::TimelineObserver::new);
+    let ins = knn::Instruments {
+        registry: registry.as_ref(),
+        journal: jn.as_ref().map(|j| j as &dyn trace::Journal),
+        timeline: tlo.as_ref(),
+        tag: "search",
+    };
+    let t0 = Instant::now();
+    let mut results = if parallel {
+        let tile = knn::DEFAULT_STREAM_TILE;
+        knn::knn_search_streamed_instrumented(&queries, &refs, &cfg, tile, workers, &ins)
+    } else {
+        knn::knn_search_with_instrumented(&queries, &refs, &cfg, metric, &ins)
+    };
+    for r in &mut results {
+        r.truncate(a.k);
+    }
+    let dt = t0.elapsed().as_secs_f64();
+    let tl_report = tlo.as_ref().map(|tl| tl.report());
+    if !write_artifacts(&a.sinks, registry.as_ref(), tl_report.as_ref(), jn.as_ref()) {
+        return 1;
+    }
+    if a.json {
+        let rows: Vec<Vec<(u32, f32)>> = results
+            .iter()
+            .map(|r| r.iter().map(|n| (n.id, n.dist)).collect())
+            .collect();
+        match serde_json::to_string(&rows) {
+            Ok(s) => println!("{s}"),
+            Err(e) => {
+                eprintln!("error serializing results: {e}");
+                return 1;
+            }
+        }
+    } else {
+        println!(
+            "{} queries × {} refs (dim {}, {metric:?}, {:?}) in {:.1} ms \
+             [kernel {}, threads {workers}]",
+            queries.len(),
+            refs.len(),
+            a.dim,
+            a.queue,
+            dt * 1e3,
+            knn::dispatch_name(),
+        );
+        for (qi, r) in results.iter().enumerate() {
+            let ids: Vec<u32> = r.iter().map(|n| n.id).collect();
+            println!("query {qi}: {ids:?}");
+        }
+    }
+    0
+}
+
+fn run_bench(a: BenchArgs) -> i32 {
+    let (n, k, queue) = (a.n, a.k, a.queue);
+    // The selection microbenchmark itself is single-query serial;
+    // --threads is recorded for report parity with the pipeline
+    // commands (and resolved, so `--threads 0` shows the detected
+    // count).
+    let workers = knn::resolve_threads(a.threads);
+    println!(
+        "native kernel: {} | threads: {workers}",
+        knn::dispatch_name()
+    );
+    let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+    let dists: Vec<f32> = (0..n).map(|_| rng.gen()).collect();
+    let Some(kk) = checked_padded_k(queue, k, n) else {
+        return 1;
+    };
+    let registry = a.sinks.metrics_out.as_ref().map(|_| MetricsRegistry::new());
+    let jn = make_journal(&a.sinks.journal);
+    // The bench is single-threaded, so its timeline is one
+    // track with one service span per configuration — useful
+    // mostly as a schema-stable artifact for tooling tests.
+    let tl_rec = timeline_recorder(&a.sinks, 1);
+    let tlo = tl_rec.as_ref().map(knn::metered::TimelineObserver::new);
+    let mut iter_id = 0u64;
+    for (run_idx, (label, metric_name, cfg)) in [
+        (
+            "plain",
+            "bench.plain.select_ns",
+            SelectConfig::plain(queue, kk),
+        ),
+        (
+            "optimized (buf+hp)",
+            "bench.optimized.select_ns",
+            SelectConfig::optimized(queue, kk),
+        ),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let t0 = Instant::now();
+        let iters = 10;
+        let mut run_iters = || {
+            for _ in 0..iters {
+                let ti = (registry.is_some() || jn.is_some()).then(Instant::now);
+                std::hint::black_box(select_k(std::hint::black_box(&dists), &cfg));
+                if let Some(ti) = ti {
+                    let ns = ti.elapsed().as_nanos() as u64;
+                    if let Some(reg) = &registry {
+                        reg.observe_ns(metric_name, ns);
+                    }
+                    // One journal record per select call: bench has no
+                    // per-query pipeline, so the whole iteration is its
+                    // "select" phase.
+                    if let Some(j) = &jn {
+                        j.record(QueryRecord {
+                            query: iter_id,
+                            queue: format!("{queue:?}").to_lowercase(),
+                            tag: label.to_string(),
+                            total_ns: ns,
+                            phase_ns: vec![(trace::journal::phases::SELECT.to_string(), ns)],
+                            blocks: 1,
+                            status: "ok".to_string(),
+                            attempts: 1,
+                            ..QueryRecord::default()
+                        });
+                        iter_id += 1;
+                    }
+                }
+            }
+        };
+        match &tlo {
+            Some(tl) => tl.service(0, run_idx as u64, run_iters),
+            None => run_iters(),
+        }
+        let per = t0.elapsed().as_secs_f64() / iters as f64;
+        println!(
+            "{:<20} n={n} k={k}: {:>9.3} ms/query ({:.1} Melem/s)",
+            label,
+            per * 1e3,
+            n as f64 / per / 1e6
+        );
+    }
+    if let Some(reg) = &registry {
+        reg.set_gauge("bench.n", n as f64);
+        reg.set_gauge("bench.k", k as f64);
+        reg.set_gauge("bench.threads", workers as f64);
+        record_runtime_config(reg, workers);
+    }
+    let tl_report = tlo.as_ref().map(|tl| tl.report());
+    if !write_artifacts(&a.sinks, registry.as_ref(), tl_report.as_ref(), jn.as_ref()) {
+        return 1;
+    }
+    0
+}
+
+fn run_simulate(n: usize, k: usize, queue: QueueKind) -> i32 {
+    let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+    let flat: Vec<f32> = (0..32 * n).map(|_| rng.gen()).collect();
+    let dm = DistanceMatrix::from_row_major(&flat, 32, n);
+    let tm = TimingModel::tesla_c2075();
+    let Some(kk) = checked_padded_k(queue, k, n) else {
+        return 1;
+    };
+    println!("simulated Tesla C2075, one warp (32 queries), n={n} k={k}\n");
+    let reports: Vec<simt::KernelReport> = [
+        ("plain", SelectConfig::plain(queue, kk)),
+        (
+            "optimized (aligned+buf+hp)",
+            SelectConfig::optimized(queue, kk),
+        ),
+    ]
+    .into_iter()
+    .map(|(label, cfg)| {
+        let res = gpu_select_k(&tm.spec, &dm, &cfg);
+        simt::KernelReport::new(label, &res.metrics, &tm)
+    })
+    .collect();
+    print!("{}", simt::comparison_table(&reports));
+    0
+}
+
+fn run_profile(a: ProfileArgs) -> i32 {
+    const DIM: usize = 16;
+    let (n, k, queries, queue) = (a.n, a.k, a.queries, a.queue);
+    let refs = PointSet::uniform(n, DIM, 11);
+    let qs = PointSet::uniform(queries, DIM, 12);
+    let tm = TimingModel::tesla_c2075();
+    let Some(kk) = checked_padded_k(queue, k, n) else {
+        return 1;
+    };
+    let cfg = SelectConfig::optimized(queue, kk);
+    let mut tracer = trace::Tracer::new();
+    let res = knn::gpu_knn_traced(&tm, &qs, &refs, &cfg, &mut tracer);
+    println!(
+        "profiled {queries} queries × {n} refs (dim {DIM}, {queue:?}, k={k}): \
+         distance {:.3} ms + select {:.3} ms simulated\n",
+        res.distance_time * 1e3,
+        res.select_time * 1e3
+    );
+    print!("{}", trace::summary::render_summary(&tracer));
+    if let Some(w) = tracer_imbalance_warning(&tracer) {
+        eprintln!("{w}");
+    }
+    if let Some(path) = &a.trace_out {
+        if !write_file(path, trace::chrome::to_chrome_json(&tracer)) {
+            return 1;
+        }
+        println!(
+            "\nwrote Chrome trace to {} (open in ui.perfetto.dev)",
+            path.display()
+        );
+    }
+    if let Some(path) = &a.jsonl_out {
+        if !write_file(path, trace::jsonl::to_jsonl(&tracer)) {
+            return 1;
+        }
+        println!("wrote JSONL event log to {}", path.display());
+    }
+    0
 }
 
 /// Tile sizes the `stats` sweep covers — the same span the wallclock
@@ -636,17 +514,8 @@ const STATS_TILES: [usize; 4] = [1024, 2048, 4096, 8192];
 /// [`STATS_TILES`] × queue kinds with the metrics registry attached,
 /// print per-combination QPS plus the aggregated latency histograms,
 /// and optionally export the registry snapshot.
-#[allow(clippy::too_many_arguments)]
-fn run_stats(
-    n: usize,
-    dim: usize,
-    k: usize,
-    queries: usize,
-    threads: usize,
-    metrics_out: Option<std::path::PathBuf>,
-    timeline_out: Option<std::path::PathBuf>,
-    journal: JournalArgs,
-) -> i32 {
+fn run_stats(a: StatsArgs) -> i32 {
+    let (n, dim, k, queries) = (a.n, a.dim, a.k, a.queries);
     let refs = PointSet::uniform(n, dim, 11);
     let qs = PointSet::uniform(queries, dim, 12);
     if k == 0 || k > n {
@@ -654,16 +523,14 @@ fn run_stats(
         eprintln!("error: {}: {e}", e.name());
         return 1;
     }
-    let workers = knn::resolve_threads(threads);
+    let workers = knn::resolve_threads(a.threads);
     let reg = MetricsRegistry::new();
     record_runtime_config(&reg, workers);
-    let jn = make_journal(&journal);
+    let jn = make_journal(&a.sinks.journal);
     // One recorder + observer across the whole sweep: every
     // tile × queue combination lands on the same per-worker tracks,
     // with inter-combination gaps showing up as idle time.
-    let tl_rec = timeline_out
-        .as_ref()
-        .map(|_| trace::TimelineRecorder::new(workers));
+    let tl_rec = timeline_recorder(&a.sinks, workers);
     let tlo = tl_rec.as_ref().map(knn::metered::TimelineObserver::new);
     let ins = knn::Instruments {
         registry: Some(&reg),
@@ -706,40 +573,10 @@ fn run_stats(
     snap.timeline = tl_report.clone();
     println!();
     print!("{}", trace::openmetrics::render_table(&snap));
-    if let (Some(path), Some(report)) = (&timeline_out, &tl_report) {
-        if !emit_timeline(path, report) {
-            return 1;
-        }
-    }
-    if let Some(path) = &metrics_out {
-        if let Err(e) = write_metrics(path, &snap) {
-            eprintln!("error writing {}: {e}", path.display());
-            return 1;
-        }
-        println!("\nwrote metrics to {}", path.display());
-    }
-    if let Some(j) = &jn {
-        if !write_journal(&journal, j) {
-            return 1;
-        }
+    if !write_artifacts(&a.sinks, Some(&reg), tl_report.as_ref(), jn.as_ref()) {
+        return 1;
     }
     0
-}
-
-struct FaultArgs {
-    n: usize,
-    k: usize,
-    queries: usize,
-    queue: QueueKind,
-    seeds: u64,
-    seed: u64,
-    aborts: f64,
-    hangs: f64,
-    bitflips: f64,
-    pcie_stall: f64,
-    pcie_corrupt: f64,
-    attempts: u32,
-    journal: JournalArgs,
 }
 
 /// Run one deterministic fault campaign per seed and check every
@@ -887,38 +724,13 @@ fn run_faults(a: FaultArgs) -> i32 {
     0
 }
 
-/// Arguments of the `serve` subcommand (mirrors [`Command::Serve`]).
-struct ServeCliArgs {
-    n: usize,
-    dim: usize,
-    k: usize,
-    queries: usize,
-    seed: u64,
-    duration: f64,
-    arrivals: serve::ArrivalProcess,
-    rate: Option<f64>,
-    load: f64,
-    deadline: Option<f64>,
-    deadline_factor: f64,
-    capacity: usize,
-    policy: serve::QueuePolicy,
-    tile: usize,
-    stride: usize,
-    threads: usize,
-    fault_plan: Option<FaultPlanArgs>,
-    json: bool,
-    metrics_out: Option<PathBuf>,
-    timeline_out: Option<PathBuf>,
-    journal: JournalArgs,
-}
-
 /// Drive a deterministic overload campaign through the serving layer.
 /// Exit 0: campaign completed with clean accounting. Exit 1: a named
 /// error (bad config, kernel faults without the `fault` feature).
 /// Exit 2: the zero-unaccounted-requests invariant was violated —
 /// some offered request never reached a terminal outcome, which the
 /// serving layer promises never happens.
-fn run_serve(a: ServeCliArgs) -> i32 {
+fn run_serve(a: ServeArgs) -> i32 {
     let faults = a.fault_plan.map(|f| {
         simt::FaultPlan::seeded(a.seed)
             .with_aborts(f.aborts)
@@ -926,10 +738,13 @@ fn run_serve(a: ServeCliArgs) -> i32 {
             .with_bitflips(f.bitflips)
             .with_pcie(f.pcie_stall, f.pcie_corrupt)
     });
+    let Some(k) = checked_padded_k(QueueKind::Merge, a.k, a.n) else {
+        return 1;
+    };
     let cfg = serve::ServeConfig {
         n: a.n,
         dim: a.dim,
-        k: padded_k(QueueKind::Merge, a.k),
+        k,
         queries_per_request: a.queries,
         seed: a.seed,
         duration_s: a.duration,
@@ -948,10 +763,11 @@ fn run_serve(a: ServeCliArgs) -> i32 {
     };
     let reg = MetricsRegistry::new();
     record_runtime_config(&reg, knn::resolve_threads(a.threads));
-    let jn = make_journal(&a.journal);
+    let jn = make_journal(&a.sinks.journal);
     // Serving timelines run on the simulated clock: track 0 is the
     // server, track 1 the admission queue (see `serve::run_timelined`).
     let tl_rec = a
+        .sinks
         .timeline_out
         .as_ref()
         .map(|_| trace::TimelineRecorder::with_names(&["server", "queue"]));
@@ -971,11 +787,6 @@ fn run_serve(a: ServeCliArgs) -> i32 {
     let tl_report = tl_rec
         .as_ref()
         .map(|rec| rec.report((s.sim_end_s * 1e9) as u64));
-    if let (Some(path), Some(report)) = (&a.timeline_out, &tl_report) {
-        if !emit_timeline(path, report) {
-            return 1;
-        }
-    }
     println!(
         "serve: {} requests over {:.6} sim-s ({} arrivals @ {:.1} req/s, load {:.2}x, \
          deadline {:.1} us, queue {} [{}], faults: {})",
@@ -1011,18 +822,8 @@ fn run_serve(a: ServeCliArgs) -> i32 {
         s.worst_step.name(),
         s.queue_peak_depth,
     );
-    if let Some(path) = &a.metrics_out {
-        let mut snap = reg.snapshot();
-        snap.timeline = tl_report.clone();
-        if let Err(e) = write_metrics(path, &snap) {
-            eprintln!("error writing {}: {e}", path.display());
-            return 1;
-        }
-    }
-    if let Some(j) = &jn {
-        if !write_journal(&a.journal, j) {
-            return 1;
-        }
+    if !write_artifacts(&a.sinks, Some(&reg), tl_report.as_ref(), jn.as_ref()) {
+        return 1;
     }
     if a.json {
         println!(
@@ -1219,19 +1020,8 @@ fn render_report(records: &mut [QueryRecord], top: usize) -> String {
 /// of the two paths is present.)
 fn run_report(path: Option<&Path>, top: usize, timeline: Option<&Path>) -> i32 {
     if let Some(tpath) = timeline {
-        let text = match std::fs::read_to_string(tpath) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("error reading {}: {e}", tpath.display());
-                return 2;
-            }
-        };
-        let report = match trace::TimelineReport::from_json(&text) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("error parsing {}: {e}", tpath.display());
-                return 2;
-            }
+        let Some(report) = read_artifact(tpath, trace::TimelineReport::from_json) else {
+            return 2;
         };
         println!("timeline report: {}", tpath.display());
         print!("{}", render_timeline_table(&report));
@@ -1240,19 +1030,8 @@ fn run_report(path: Option<&Path>, top: usize, timeline: Option<&Path>) -> i32 {
         }
     }
     let Some(path) = path else { return 0 };
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("error reading {}: {e}", path.display());
-            return 2;
-        }
-    };
-    let mut records = match trace::journal::parse_jsonl(&text) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error parsing {}: {e}", path.display());
-            return 2;
-        }
+    let Some(mut records) = read_artifact(path, trace::journal::parse_jsonl) else {
+        return 2;
     };
     if records.is_empty() {
         eprintln!("error: {} holds no records", path.display());
@@ -1266,10 +1045,32 @@ fn run_report(path: Option<&Path>, top: usize, timeline: Option<&Path>) -> i32 {
     0
 }
 
+/// Read and parse an artifact written by an earlier run; on failure say
+/// which step failed on stderr and return `None`.
+fn read_artifact<T>(path: &Path, parse: fn(&str) -> Result<T, String>) -> Option<T> {
+    let parsed = match std::fs::read_to_string(path) {
+        Ok(text) => parse(&text).map_err(|e| format!("error parsing {}: {e}", path.display())),
+        Err(e) => Err(format!("error reading {}: {e}", path.display())),
+    };
+    parsed.map_err(|msg| eprintln!("{msg}")).ok()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use knn::Metric;
+
+    /// `stats` over 8-d points.
+    fn stats_args(n: usize, k: usize, queries: usize, threads: usize, sinks: Sinks) -> StatsArgs {
+        StatsArgs {
+            n,
+            dim: 8,
+            k,
+            queries,
+            threads,
+            sinks,
+        }
+    }
 
     #[test]
     fn padded_k_merge() {
@@ -1314,7 +1115,7 @@ mod tests {
             0
         );
         assert_eq!(
-            run(Command::Search {
+            run(Command::Search(SearchArgs {
                 refs: refs.clone(),
                 queries: queries.clone(),
                 dim: 8,
@@ -1323,15 +1124,13 @@ mod tests {
                 queue: QueueKind::Merge,
                 threads: 1,
                 json: true,
-                metrics_out: None,
-                timeline_out: None,
-                journal: JournalArgs::default(),
-            }),
+                sinks: Sinks::default(),
+            })),
             0
         );
         // k too large is a clean error, not a panic
         assert_eq!(
-            run(Command::Search {
+            run(Command::Search(SearchArgs {
                 refs: refs.clone(),
                 queries: queries.clone(),
                 dim: 8,
@@ -1340,15 +1139,13 @@ mod tests {
                 queue: QueueKind::Merge,
                 threads: 1,
                 json: false,
-                metrics_out: None,
-                timeline_out: None,
-                journal: JournalArgs::default(),
-            }),
+                sinks: Sinks::default(),
+            })),
             1
         );
         // k == 0 likewise
         assert_eq!(
-            run(Command::Search {
+            run(Command::Search(SearchArgs {
                 refs: refs.clone(),
                 queries: queries.clone(),
                 dim: 8,
@@ -1357,10 +1154,8 @@ mod tests {
                 queue: QueueKind::Merge,
                 threads: 1,
                 json: false,
-                metrics_out: None,
-                timeline_out: None,
-                journal: JournalArgs::default(),
-            }),
+                sinks: Sinks::default(),
+            })),
             1
         );
         // a NaN coordinate in the input is a named error, not a wrong answer
@@ -1372,7 +1167,7 @@ mod tests {
         pts[5] = f32::NAN;
         crate::io::save_points(&poisoned, &knn::PointSet::from_flat(pts, 8)).unwrap();
         assert_eq!(
-            run(Command::Search {
+            run(Command::Search(SearchArgs {
                 refs,
                 queries: poisoned,
                 dim: 8,
@@ -1381,10 +1176,8 @@ mod tests {
                 queue: QueueKind::Merge,
                 threads: 1,
                 json: false,
-                metrics_out: None,
-                timeline_out: None,
-                journal: JournalArgs::default(),
-            }),
+                sinks: Sinks::default(),
+            })),
             1
         );
     }
@@ -1433,15 +1226,16 @@ mod tests {
         let json = dir.join("m.json");
         for path in [&txt, &json] {
             assert_eq!(
-                run(Command::Bench {
+                run(Command::Bench(BenchArgs {
                     n: 2000,
                     k: 16,
                     queue: QueueKind::Merge,
                     threads: 1,
-                    metrics_out: Some(path.clone()),
-                    timeline_out: None,
-                    journal: JournalArgs::default(),
-                }),
+                    sinks: Sinks {
+                        metrics_out: Some(path.clone()),
+                        ..Sinks::default()
+                    },
+                })),
                 0
             );
         }
@@ -1464,16 +1258,16 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let out = dir.join("stats.txt");
         assert_eq!(
-            run_stats(
+            run_stats(stats_args(
                 3000,
-                8,
                 8,
                 6,
                 1,
-                Some(out.clone()),
-                None,
-                JournalArgs::default()
-            ),
+                Sinks {
+                    metrics_out: Some(out.clone()),
+                    ..Sinks::default()
+                }
+            )),
             0
         );
         let text = std::fs::read_to_string(&out).unwrap();
@@ -1482,14 +1276,8 @@ mod tests {
         assert!(text.contains("knn_queries_total 72"));
         assert!(text.ends_with("# EOF\n"));
         // invalid k is a clean named error
-        assert_eq!(
-            run_stats(100, 8, 0, 4, 1, None, None, JournalArgs::default()),
-            1
-        );
-        assert_eq!(
-            run_stats(100, 8, 200, 4, 1, None, None, JournalArgs::default()),
-            1
-        );
+        assert_eq!(run_stats(stats_args(100, 0, 4, 1, Sinks::default())), 1);
+        assert_eq!(run_stats(stats_args(100, 200, 4, 1, Sinks::default())), 1);
     }
 
     #[test]
@@ -1521,7 +1309,7 @@ mod tests {
             );
         }
         assert_eq!(
-            run(Command::Search {
+            run(Command::Search(SearchArgs {
                 refs,
                 queries,
                 dim: 8,
@@ -1530,13 +1318,14 @@ mod tests {
                 queue: QueueKind::Merge,
                 threads: 1,
                 json: false,
-                metrics_out: None,
-                timeline_out: None,
-                journal: JournalArgs {
-                    out: Some(jpath.clone()),
-                    ..JournalArgs::default()
+                sinks: Sinks {
+                    journal: JournalArgs {
+                        out: Some(jpath.clone()),
+                        ..JournalArgs::default()
+                    },
+                    ..Sinks::default()
                 },
-            }),
+            })),
             0
         );
         let recs = trace::journal::parse_jsonl(&std::fs::read_to_string(&jpath).unwrap()).unwrap();
@@ -1591,7 +1380,11 @@ mod tests {
             out: Some(jpath.clone()),
             ..JournalArgs::default()
         };
-        assert_eq!(run_stats(3000, 8, 8, 6, 1, None, None, args), 0);
+        let sinks = Sinks {
+            journal: args,
+            ..Sinks::default()
+        };
+        assert_eq!(run_stats(stats_args(3000, 8, 6, 1, sinks)), 0);
         let recs = trace::journal::parse_jsonl(&std::fs::read_to_string(&jpath).unwrap()).unwrap();
         // 3 queue kinds × 4 tiles × 6 queries
         assert_eq!(recs.len(), 72);
@@ -1600,18 +1393,19 @@ mod tests {
 
         let bpath = dir.join("bench.jsonl");
         assert_eq!(
-            run(Command::Bench {
+            run(Command::Bench(BenchArgs {
                 n: 2000,
                 k: 16,
                 queue: QueueKind::Merge,
                 threads: 1,
-                metrics_out: None,
-                timeline_out: None,
-                journal: JournalArgs {
-                    out: Some(bpath.clone()),
-                    ..JournalArgs::default()
+                sinks: Sinks {
+                    journal: JournalArgs {
+                        out: Some(bpath.clone()),
+                        ..JournalArgs::default()
+                    },
+                    ..Sinks::default()
                 },
-            }),
+            })),
             0
         );
         let recs = trace::journal::parse_jsonl(&std::fs::read_to_string(&bpath).unwrap()).unwrap();
@@ -1699,16 +1493,17 @@ mod tests {
         let tl = dir.join("stats-timeline.json");
         let metrics = dir.join("stats-metrics.json");
         assert_eq!(
-            run_stats(
+            run_stats(stats_args(
                 3000,
-                8,
                 8,
                 64,
                 2,
-                Some(metrics.clone()),
-                Some(tl.clone()),
-                JournalArgs::default()
-            ),
+                Sinks {
+                    metrics_out: Some(metrics.clone()),
+                    timeline_out: Some(tl.clone()),
+                    ..Sinks::default()
+                }
+            )),
             0
         );
         let report =
@@ -1750,16 +1545,16 @@ mod tests {
         // a `.trace.json` path switches the artifact to a Chrome trace
         let chrome = dir.join("stats.trace.json");
         assert_eq!(
-            run_stats(
+            run_stats(stats_args(
                 3000,
-                8,
                 8,
                 64,
                 2,
-                None,
-                Some(chrome.clone()),
-                JournalArgs::default()
-            ),
+                Sinks {
+                    timeline_out: Some(chrome.clone()),
+                    ..Sinks::default()
+                }
+            )),
             0
         );
         let doc = serde_json::parse_value(&std::fs::read_to_string(&chrome).unwrap()).unwrap();
@@ -1783,16 +1578,16 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let tl = dir.join("stats-timeline.json");
         assert_eq!(
-            run_stats(
+            run_stats(stats_args(
                 3000,
-                8,
                 8,
                 64,
                 1,
-                None,
-                Some(tl.clone()),
-                JournalArgs::default()
-            ),
+                Sinks {
+                    timeline_out: Some(tl.clone()),
+                    ..Sinks::default()
+                }
+            )),
             0
         );
         let report =
