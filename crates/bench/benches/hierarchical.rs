@@ -1,5 +1,6 @@
 //! Hierarchical Partition micro-benchmarks: construction cost, top-down
-//! search cost and the G sweep (Figs. 7/8 measured natively).
+//! search cost, the G sweep (Figs. 7/8 measured natively) and the
+//! per-tile selection the streamed pipeline runs at its default tile.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use kselect::hierarchical::{select_top_down, Hierarchy, HpConfig};
@@ -52,6 +53,19 @@ fn bench_hierarchy(c: &mut Criterion) {
         let data = dists(1 << exp);
         g.bench_with_input(BenchmarkId::from_parameter(exp), &exp, |b, _| {
             b.iter(|| black_box(hierarchical_select(black_box(&data), k, HpConfig { g: 4 })))
+        });
+    }
+    g.finish();
+
+    // One streamed tile (`DEFAULT_STREAM_TILE` = 2048 values) selected by
+    // the optimized config across the paper's k range.
+    let data = dists(2048);
+    let mut g = c.benchmark_group("hp_tile2048");
+    g.sample_size(20);
+    for k in [32usize, 256, 1024] {
+        let cfg = SelectConfig::optimized(QueueKind::Merge, k);
+        g.bench_with_input(BenchmarkId::from_parameter(k), &k, |b, _| {
+            b.iter(|| black_box(select_k(black_box(&data), &cfg)))
         });
     }
     g.finish();

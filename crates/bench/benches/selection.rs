@@ -7,7 +7,6 @@ use baselines::{
 };
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use kselect::buffered::BufferConfig;
-use kselect::hierarchical::HpConfig;
 use kselect::{select_k, QueueKind, SelectConfig};
 use rand::{Rng, SeedableRng};
 
@@ -28,16 +27,10 @@ fn bench_variants(c: &mut Criterion) {
             "merge_buffered",
             SelectConfig::plain(QueueKind::Merge, k).with_buffer(BufferConfig::default()),
         ),
-        (
-            "merge_hp",
-            SelectConfig::plain(QueueKind::Merge, k).with_hp(HpConfig::default()),
-        ),
-        ("merge_buf_hp", SelectConfig::optimized(QueueKind::Merge, k)),
-        ("heap_buf_hp", SelectConfig::optimized(QueueKind::Heap, k)),
-        (
-            "insertion_buf_hp",
-            SelectConfig::optimized(QueueKind::Insertion, k),
-        ),
+        // Natively HP is the whole selection: the queue and buffer of an
+        // HP config only shape the simulated kernels, so one entry
+        // covers every HP variant.
+        ("hp", SelectConfig::optimized(QueueKind::Merge, k)),
     ];
     for (name, cfg) in &variants {
         g.bench_function(*name, |b| {

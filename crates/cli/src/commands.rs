@@ -26,20 +26,16 @@ fn padded_k(queue: QueueKind, k: usize) -> usize {
     }
 }
 
-/// [`padded_k`] checked against the `n` candidates it selects from. A
-/// zero k, or a padded k larger than `n`, prints the typed
-/// [`KnnError::InvalidK`] and returns `None` (the caller exits 1)
+/// [`padded_k`] checked by [`SelectConfig::validate`] against the `n`
+/// candidates it selects from. A zero k, or a padded k larger than `n`,
+/// prints the typed [`KnnError`] and returns `None` (the caller exits 1)
 /// instead of panicking inside the queue.
 fn checked_padded_k(queue: QueueKind, k: usize, n: usize) -> Option<usize> {
-    let kk = padded_k(queue, k);
-    if k > 0 && kk <= n {
+    let kk = if k == 0 { 0 } else { padded_k(queue, k) };
+    let Err(e) = SelectConfig::optimized(queue, kk).validate(n) else {
         return Some(kk);
-    }
-    let e = KnnError::InvalidK {
-        k: if k == 0 { 0 } else { kk },
-        n,
     };
-    let padded = if k > 0 && kk != k {
+    let padded = if kk != k {
         format!(" (k = {k} padded to {kk} for the {queue:?} queue)")
     } else {
         String::new()

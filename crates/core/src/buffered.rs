@@ -67,11 +67,21 @@ pub fn buffered_select_into<Q: KQueue>(
     dists: &[f32],
     cfg: &BufferConfig,
 ) -> BufferStats {
+    buffered_select_below(queue, dists, cfg, f32::INFINITY)
+}
+
+/// [`buffered_select_into`] over only the values `< bound`.
+pub(crate) fn buffered_select_below<Q: KQueue>(
+    queue: &mut Q,
+    dists: &[f32],
+    cfg: &BufferConfig,
+    bound: f32,
+) -> BufferStats {
     assert!(cfg.size > 0, "buffer size must be positive");
     let mut stats = BufferStats::default();
     let mut buf: Vec<Neighbor> = Vec::with_capacity(cfg.size);
     for (id, &d) in dists.iter().enumerate() {
-        if d < queue.max() {
+        if d < bound && d < queue.max() {
             buf.push(Neighbor::new(d, id as u32));
             stats.buffered += 1;
             if buf.len() == cfg.size {

@@ -5,13 +5,19 @@
 //! support N larger than the range without hurting the performance". This
 //! module is that extension: split the list into chunks, run any
 //! configured k-selection variant per chunk, and merge the per-chunk
-//! top-k sets with one final selection over ≤ k·⌈N/chunk⌉ candidates.
+//! top-k sets into a running top-k.
 //!
 //! Chunking is exact for any chunk size: an element in the global top-k
-//! is necessarily in its own chunk's top-k.
+//! is necessarily in its own chunk's top-k. Each merge is a linear merge
+//! of two sorted runs (the running top-k and the chunk's picks), cut at
+//! k. Once the running set holds k entries its k-th distance bounds
+//! every later chunk: chunks arrive with ascending ids, so a later value
+//! equal to the k-th would lose the `(dist, id)` tie and a larger one
+//! loses outright. [`StreamMerger::bound`] exposes that distance, and
+//! the chunk's [`Selector`] considers only values strictly below it.
 
-use crate::select::{select_k, SelectConfig};
-use crate::types::{sort_neighbors, Neighbor};
+use crate::select::{SelectConfig, Selector};
+use crate::types::{cmp_neighbors, Neighbor};
 
 /// Incremental top-k merge over per-chunk selections — the host-side
 /// "global merge" state of the divide-and-merge literature, factored out
@@ -19,15 +25,17 @@ use crate::types::{sort_neighbors, Neighbor};
 /// the full list) share the exact merge semantics of
 /// [`select_k_chunked`].
 ///
-/// Feed it each chunk's top-k (with the chunk's global id offset); it
-/// keeps at most `k + chunk_topk` candidates alive, so memory stays
+/// Feed it each chunk's top-k with the chunk's global id offset; it keeps
+/// at most `k` candidates plus a `k`-entry merge buffer, so memory stays
 /// O(k) regardless of how many chunks stream through. Ties resolve by
-/// `(dist, id)` — identical to a single [`select_k`] over the
+/// `(dist, id)` — identical to a single [`crate::select_k`] over the
 /// concatenated list.
 #[derive(Clone, Debug)]
 pub struct StreamMerger {
     k: usize,
     acc: Vec<Neighbor>,
+    /// Merge output buffer, swapped with `acc` after each chunk.
+    spare: Vec<Neighbor>,
     stats: MergeStats,
 }
 
@@ -54,27 +62,61 @@ impl StreamMerger {
         assert!(k > 0, "k must be positive");
         StreamMerger {
             k,
-            acc: Vec::with_capacity(2 * k),
+            acc: Vec::with_capacity(k),
+            spare: Vec::with_capacity(k),
             stats: MergeStats::default(),
         }
     }
 
     /// Merge one chunk's survivors, rebasing their chunk-local ids by
     /// `id_offset`.
-    pub fn push_chunk(&mut self, chunk: Vec<Neighbor>, id_offset: u32) {
-        self.stats.pushed += chunk.len() as u64;
-        for mut nb in chunk {
-            nb.id += id_offset;
-            self.acc.push(nb);
+    ///
+    /// Equivalent to sorting the running set and the chunk together and
+    /// keeping the first k (truncation is lossless: an element of the
+    /// global top-k is necessarily in the running top-k of every prefix
+    /// of chunks). A chunk already sorted by `(dist, id)`, as a
+    /// [`Selector`] returns it, is merged in one linear pass; any other
+    /// chunk is sorted first.
+    pub fn push_chunk(&mut self, mut chunk: Vec<Neighbor>, id_offset: u32) {
+        if !chunk.is_sorted_by(|a, b| cmp_neighbors(a, b).is_le()) {
+            chunk.sort_by(cmp_neighbors);
         }
-        // The running set is ≤ k + |chunk| entries; sorting it is exact
-        // and cheap, and truncation is lossless: an element of the
-        // global top-k is necessarily in the running top-k of every
-        // prefix of chunks.
-        sort_neighbors(&mut self.acc);
-        let before = self.acc.len();
-        self.acc.truncate(self.k);
+        self.stats.pushed += chunk.len() as u64;
+        let before = self.acc.len() + chunk.len();
+        let (held, out) = (&self.acc, &mut self.spare);
+        out.clear();
+        let (mut i, mut j) = (0, 0);
+        while out.len() < self.k && (i < held.len() || j < chunk.len()) {
+            // A chunk entry goes first only when strictly smaller, as in
+            // a stable sort of the held entries followed by the chunk.
+            match chunk
+                .get(j)
+                .map(|c| Neighbor::new(c.dist, c.id + id_offset))
+            {
+                Some(c) if i == held.len() || cmp_neighbors(&c, &held[i]).is_lt() => {
+                    out.push(c);
+                    j += 1;
+                }
+                _ => {
+                    out.push(held[i]);
+                    i += 1;
+                }
+            }
+        }
+        core::mem::swap(&mut self.acc, &mut self.spare);
         self.stats.rejected += (before - self.acc.len()) as u64;
+    }
+
+    /// The strict bound a later chunk's value must beat to enter: the
+    /// current k-th distance once k candidates are held, +∞ before.
+    /// Passing it to the next chunk's [`Selector::select`] is exact when
+    /// later chunks carry larger ids, as every streaming caller's do.
+    pub fn bound(&self) -> f32 {
+        if self.acc.len() == self.k {
+            self.acc[self.k - 1].dist
+        } else {
+            f32::INFINITY
+        }
     }
 
     /// Lifetime push/reject totals.
@@ -100,12 +142,14 @@ impl StreamMerger {
 /// When `chunk_size` is zero.
 pub fn select_k_chunked(dists: &[f32], cfg: &SelectConfig, chunk_size: usize) -> Vec<Neighbor> {
     assert!(chunk_size > 0, "chunk size must be positive");
+    let mut selector = Selector::new(*cfg);
     if dists.len() <= chunk_size {
-        return select_k(dists, cfg);
+        return selector.select(dists, f32::INFINITY);
     }
     let mut merger = StreamMerger::new(cfg.k);
     for (ci, chunk) in dists.chunks(chunk_size).enumerate() {
-        merger.push_chunk(select_k(chunk, cfg), (ci * chunk_size) as u32);
+        let picks = selector.select(chunk, merger.bound());
+        merger.push_chunk(picks, (ci * chunk_size) as u32);
     }
     merger.finish()
 }
@@ -113,6 +157,7 @@ pub fn select_k_chunked(dists: &[f32], cfg: &SelectConfig, chunk_size: usize) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::select::select_k;
     use crate::types::QueueKind;
     use rand::{Rng, SeedableRng};
 
@@ -163,6 +208,101 @@ mod tests {
         let out = m.finish();
         assert_eq!(out.len(), 2);
         assert_eq!(out[0].dist, 0.5);
+    }
+
+    /// The merge as first written: concatenate, stable-sort, cut at k.
+    fn sort_merge(
+        acc: &mut Vec<Neighbor>,
+        stats: &mut MergeStats,
+        chunk: &[Neighbor],
+        off: u32,
+        k: usize,
+    ) {
+        stats.pushed += chunk.len() as u64;
+        acc.extend(chunk.iter().map(|n| Neighbor::new(n.dist, n.id + off)));
+        crate::types::sort_neighbors(acc);
+        stats.rejected += acc.len().saturating_sub(k) as u64;
+        acc.truncate(k);
+    }
+
+    #[test]
+    fn linear_merge_equals_the_sort_based_merge() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(304);
+        let bits = |ns: &[Neighbor]| -> Vec<(u32, u32)> {
+            ns.iter().map(|n| (n.dist.to_bits(), n.id)).collect()
+        };
+        for case in 0..400 {
+            let k = rng.gen_range(1..=24usize);
+            let mut merger = StreamMerger::new(k);
+            let (mut acc, mut stats) = (Vec::new(), MergeStats::default());
+            let mut off = 0u32;
+            for _ in 0..rng.gen_range(1..=8) {
+                // Few distinct values (ties across and within chunks),
+                // repeated ids, and half the chunks left unsorted.
+                let len = rng.gen_range(0..=2 * k);
+                let mut chunk: Vec<Neighbor> = (0..len)
+                    .map(|_| {
+                        // -0.0 and 0.0 tie but differ in bits, so the
+                        // order of equal keys shows in the result.
+                        let d = match rng.gen_range(0..10u32) {
+                            0 => -0.0,
+                            1 => 0.0,
+                            2 => f32::INFINITY,
+                            v => v as f32,
+                        };
+                        Neighbor::new(d, rng.gen_range(0..8u32))
+                    })
+                    .collect();
+                if rng.gen::<bool>() {
+                    crate::types::sort_neighbors(&mut chunk);
+                }
+                sort_merge(&mut acc, &mut stats, &chunk, off, k);
+                merger.push_chunk(chunk, off);
+                assert_eq!(bits(merger.current()), bits(&acc), "case {case}");
+                assert_eq!(merger.stats(), stats, "case {case}");
+                off += rng.gen_range(0..4u32);
+            }
+            assert_eq!(bits(&merger.finish()), bits(&acc), "case {case}");
+        }
+    }
+
+    #[test]
+    fn bound_is_the_kth_distance_once_full() {
+        let mut m = StreamMerger::new(2);
+        assert_eq!(m.bound(), f32::INFINITY);
+        m.push_chunk(vec![Neighbor::new(3.0, 0)], 0);
+        assert_eq!(m.bound(), f32::INFINITY);
+        m.push_chunk(vec![Neighbor::new(1.0, 0), Neighbor::new(5.0, 1)], 1);
+        assert_eq!(m.bound(), 3.0);
+    }
+
+    #[test]
+    fn bounded_chunks_match_unbounded_chunks() {
+        // select_k_chunked seeds each chunk with the running k-th
+        // distance; the neighbors must equal an unseeded chunked merge,
+        // ties at the k-th value included.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(305);
+        for _ in 0..100 {
+            let dists: Vec<f32> = (0..rng.gen_range(1..600usize))
+                .map(|_| rng.gen_range(0..40u32) as f32)
+                .collect();
+            let chunk = rng.gen_range(1..200usize);
+            for cfg in [
+                SelectConfig::optimized(QueueKind::Merge, 16),
+                SelectConfig::plain(QueueKind::Insertion, 8),
+            ] {
+                let mut unseeded = StreamMerger::new(cfg.k);
+                for (ci, c) in dists.chunks(chunk).enumerate() {
+                    unseeded.push_chunk(select_k(c, &cfg), (ci * chunk) as u32);
+                }
+                let want = if dists.len() <= chunk {
+                    select_k(&dists, &cfg)
+                } else {
+                    unseeded.finish()
+                };
+                assert_eq!(select_k_chunked(&dists, &cfg, chunk), want, "chunk {chunk}");
+            }
+        }
     }
 
     #[test]

@@ -45,6 +45,22 @@ pub enum KnnError {
     /// deadline budget the request arrived with, in simulated
     /// nanoseconds.
     DeadlineExceeded { budget_ns: u64 },
+    /// A request asks for more of something than a configured limit
+    /// allows (`what` names it, e.g. the expected arrivals of a serve
+    /// schedule); `value` saturates at `u64::MAX`.
+    LimitExceeded {
+        what: &'static str,
+        value: u64,
+        limit: u64,
+    },
+    /// A selection parameter is below the smallest value its structure
+    /// works with (a hierarchical-partition group of 1, a zero-size
+    /// buffer).
+    InvalidParam {
+        what: &'static str,
+        value: usize,
+        min: usize,
+    },
 }
 
 impl KnnError {
@@ -61,6 +77,8 @@ impl KnnError {
             KnnError::TransferFailed { .. } => "transfer-failed",
             KnnError::Overloaded { .. } => "overloaded",
             KnnError::DeadlineExceeded { .. } => "deadline-exceeded",
+            KnnError::LimitExceeded { .. } => "limit-exceeded",
+            KnnError::InvalidParam { .. } => "invalid-param",
         }
     }
 }
@@ -111,6 +129,12 @@ impl core::fmt::Display for KnnError {
                     f,
                     "deadline of {budget_ns} ns expired before service completed"
                 )
+            }
+            KnnError::LimitExceeded { what, value, limit } => {
+                write!(f, "{what} = {value} exceeds the limit of {limit}")
+            }
+            KnnError::InvalidParam { what, value, min } => {
+                write!(f, "{what} = {value} is invalid (need at least {min})")
             }
         }
     }
@@ -178,6 +202,24 @@ mod tests {
                 KnnError::DeadlineExceeded { budget_ns: 5_000 },
                 "deadline-exceeded",
                 "5000 ns",
+            ),
+            (
+                KnnError::LimitExceeded {
+                    what: "expected arrivals",
+                    value: 1 << 21,
+                    limit: 1 << 20,
+                },
+                "limit-exceeded",
+                "expected arrivals = 2097152 exceeds the limit of 1048576",
+            ),
+            (
+                KnnError::InvalidParam {
+                    what: "buffer size",
+                    value: 0,
+                    min: 1,
+                },
+                "invalid-param",
+                "buffer size = 0",
             ),
         ];
         for (err, name, fragment) in cases {

@@ -6,14 +6,28 @@
 //! The distance list is split into groups of `G`; each group's minimum
 //! forms the next level. Repeat until a level has at most `k` elements.
 //! Construction is a linear scan per level, `O(N · G/(G-1))` total work
-//! and `O(N/(G-1))` extra space.
+//! and `O(N/(G-1))` extra space. [`crate::Selector`] rebuilds one
+//! hierarchy in place per call, so its level buffers are allocated once.
 //!
 //! # Top-Down Search
 //!
-//! Insert the (≤ k) top-level elements into a queue; then, level by level,
+//! Take the (≤ k) top-level elements as candidates; then, level by level,
 //! expand only the child groups of the current k best candidates and
 //! re-select the k best among the expanded elements. At most `G·k`
-//! elements are touched per level, over `log_G(N/k)` levels.
+//! elements are touched per level, over `log_G(N/k)` levels. Each
+//! level's re-selection is linear in its `G·k` candidates
+//! (`select_nth_unstable` on one integer key per candidate, see
+//! "Ties"); only the final k picks are sorted.
+//!
+//! # Bound pruning
+//!
+//! The search takes a strict upper `bound`: only values `< bound` are
+//! candidates. A group whose minimum is `≥ bound` has no child below it,
+//! so its whole subtree is pruned at the level where its minimum is
+//! seen. The result is exactly the unbounded result with the picks
+//! `≥ bound` removed. A streaming caller passes the k-th distance it
+//! already holds, so later tiles only ever expand groups that can still
+//! improve its top-k.
 //!
 //! # Exactness
 //!
@@ -31,13 +45,21 @@
 //!
 //! Unlike the paper's in-place description (which can insert a group
 //! minimum twice — once as the parent, once as the child), we rebuild the
-//! candidate queue at each level, which avoids duplicate entries
+//! candidate set at each level, which avoids duplicate entries
 //! displacing genuine candidates. The property tests in this module
 //! verify exactness against a full sort.
+//!
+//! # Ties
+//!
+//! Among equal values, the pick is the one an insertion queue fed the
+//! level's candidates in expansion order would keep: candidates are
+//! expanded in `(value, index)` order of their parents, and the queue
+//! keeps the first-seen of equal values. Each candidate therefore ranks
+//! by `(value, parent value, index)`, a key of its own, so the linear
+//! selection needs no ordered expansion to reproduce it.
 
 use serde::{Deserialize, Serialize};
 
-use crate::queues::{InsertionQueue, KQueue};
 use crate::types::Neighbor;
 
 /// Configuration for Hierarchical Partition.
@@ -55,9 +77,12 @@ impl Default for HpConfig {
 
 /// The bottom-up structure: `levels[0]` is the first *reduced* level
 /// (group minima of the input); the input itself is not duplicated.
+/// Only the first `depth` buffers are live; the rest are spare
+/// allocations kept for the next rebuild.
 #[derive(Clone, Debug)]
 pub struct Hierarchy {
     levels: Vec<Vec<f32>>,
+    depth: usize,
     g: usize,
 }
 
@@ -68,24 +93,49 @@ impl Hierarchy {
     /// # Panics
     /// When `g < 2` (a group size of 1 never reduces) or `k == 0`.
     pub fn build(dists: &[f32], g: usize, k: usize) -> Self {
+        let mut h = Hierarchy::empty();
+        h.rebuild(dists, g, k);
+        h
+    }
+
+    /// A hierarchy of depth 0 with no level buffers yet, for
+    /// [`Hierarchy::rebuild`] to fill.
+    pub(crate) fn empty() -> Self {
+        Hierarchy {
+            levels: Vec::new(),
+            depth: 0,
+            g: 0,
+        }
+    }
+
+    /// [`Hierarchy::build`] in place, reusing the level buffers.
+    pub(crate) fn rebuild(&mut self, dists: &[f32], g: usize, k: usize) {
         assert!(g >= 2, "group size must be at least 2");
         assert!(k > 0, "k must be positive");
-        let mut levels: Vec<Vec<f32>> = Vec::new();
-        let mut cur: &[f32] = dists;
-        while cur.len() > k {
-            let next: Vec<f32> = cur
-                .chunks(g)
-                .map(|c| c.iter().copied().fold(f32::INFINITY, f32::min))
-                .collect();
-            levels.push(next);
-            cur = levels.last().unwrap();
-            // A level of length ≤ k terminates; chunks() guarantees strict
-            // shrinkage for g ≥ 2 whenever len > 1.
-            if cur.len() <= k {
-                break;
+        self.g = g;
+        self.depth = 0;
+        // A level of length ≤ k terminates; chunks() guarantees strict
+        // shrinkage for g ≥ 2 whenever len > 1.
+        while self.below(self.depth, dists).len() > k {
+            if self.levels.len() == self.depth {
+                self.levels.push(Vec::new());
             }
+            let (built, rest) = self.levels.split_at_mut(self.depth);
+            let cur: &[f32] = built.last().map_or(dists, Vec::as_slice);
+            let next = &mut rest[0];
+            next.clear();
+            next.extend(cur.chunks(g).map(group_min));
+            self.depth += 1;
         }
-        Hierarchy { levels, g }
+    }
+
+    /// The level that reduced level `i`'s groups cover: `dists` for
+    /// `i == 0`, else reduced level `i - 1`.
+    fn below<'a>(&'a self, i: usize, dists: &'a [f32]) -> &'a [f32] {
+        match i {
+            0 => dists,
+            _ => &self.levels[i - 1],
+        }
     }
 
     /// Group size used to build this hierarchy.
@@ -96,81 +146,140 @@ impl Hierarchy {
     /// Number of reduced levels (0 when the input already had ≤ k
     /// elements).
     pub fn depth(&self) -> usize {
-        self.levels.len()
+        self.depth
     }
 
     /// Extra storage consumed, in elements. The paper bounds this by
     /// `N/(G-1)`.
     pub fn extra_space(&self) -> usize {
-        self.levels.iter().map(Vec::len).sum()
+        self.levels[..self.depth].iter().map(Vec::len).sum()
     }
 
     /// Borrow level `i` (0 = first reduced level; the deepest index is the
     /// top of the pyramid).
     pub fn level(&self, i: usize) -> &[f32] {
-        &self.levels[i]
+        &self.levels[..self.depth][i]
     }
 }
 
-/// Pick the k smallest of `(value, index-in-level)` pairs using an
-/// insertion queue (candidate counts here are ≤ G·k, so the simple queue
-/// is fine natively; the GPU kernels plug in any queue kind).
-fn k_best(pairs: impl Iterator<Item = (f32, u32)>, k: usize) -> Vec<(f32, u32)> {
-    let mut q = InsertionQueue::new(k);
-    for (d, i) in pairs {
-        if d < q.max() {
-            q.offer(d, i);
-        }
+/// Minimum of a group, NaN ignored (an all-NaN group gives +∞, which
+/// no bound admits).
+#[inline]
+fn group_min(group: &[f32]) -> f32 {
+    group
+        .iter()
+        .fold(f32::INFINITY, |m, &x| if x < m { x } else { m })
+}
+
+/// Order-preserving `u32` image of a non-NaN value under IEEE `<`:
+/// `-0.0` and `0.0` map alike, as they compare equal.
+#[inline]
+fn ordered(x: f32) -> u32 {
+    let b = (x + 0.0).to_bits();
+    if b >> 31 == 1 {
+        !b
+    } else {
+        b | 0x8000_0000
     }
-    q.into_sorted()
-        .into_iter()
-        .map(|n| (n.dist, n.id))
-        .collect()
+}
+
+/// A top-down candidate's rank as one integer, so selection compares
+/// integers: `(value, parent value, index in its level)` — the
+/// insertion-queue order of the module docs' "Ties" section. At the top
+/// level every candidate is its own root and `parent` is 0.
+#[inline]
+fn rank_key(d: f32, parent: u32, i: u32) -> u128 {
+    ((ordered(d) as u128) << 64) | ((parent as u128) << 32) | i as u128
+}
+
+/// The ordered value a rank key starts with (a child's `parent`).
+#[inline]
+fn key_value(key: u128) -> u32 {
+    (key >> 64) as u32
+}
+
+/// The index in its level a rank key ends with.
+#[inline]
+fn key_index(key: u128) -> u32 {
+    key as u32
+}
+
+/// Reusable candidate buffers of the top-down search: the current level's
+/// picks and the next level's expansion (at most `G·k` keys each), and
+/// the final `(value, index)` sort keys.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct TopDown {
+    cur: Vec<u128>,
+    next: Vec<u128>,
+    out: Vec<u64>,
+}
+
+impl TopDown {
+    /// Exact k-selection of the values of `dists` below `bound` through
+    /// the prebuilt `h`, sorted ascending by `(dist, id)`.
+    pub(crate) fn select(
+        &mut self,
+        dists: &[f32],
+        h: &Hierarchy,
+        k: usize,
+        bound: f32,
+    ) -> Vec<Neighbor> {
+        assert!(k > 0, "k must be positive");
+        let TopDown { cur, next, out } = self;
+        // Top level (the input itself when depth is 0): every element is
+        // a candidate.
+        cur.clear();
+        cur.extend(
+            h.below(h.depth, dists)
+                .iter()
+                .zip(0u32..)
+                .filter(|&(&d, _)| d < bound)
+                .map(|(&d, i)| rank_key(d, 0, i)),
+        );
+        keep_k_best(cur, k);
+        // Descend: level `li`'s picks expand into the level below it.
+        for li in (0..h.depth).rev() {
+            let below = h.below(li, dists);
+            next.clear();
+            for &c in cur.iter() {
+                let start = key_index(c) as usize * h.g;
+                let end = (start + h.g).min(below.len());
+                next.extend(
+                    below[start..end]
+                        .iter()
+                        .zip(start as u32..)
+                        .filter(|&(&d, _)| d < bound)
+                        .map(|(&d, i)| rank_key(d, key_value(c), i)),
+                );
+            }
+            keep_k_best(next, k);
+            core::mem::swap(cur, next);
+        }
+        // Result order is `(dist, id)`: drop the parent from the keys.
+        out.clear();
+        out.extend(
+            cur.iter()
+                .map(|&c| (u64::from(key_value(c)) << 32) | u64::from(key_index(c))),
+        );
+        out.sort_unstable();
+        out.iter()
+            .map(|&o| Neighbor::new(dists[o as u32 as usize], o as u32))
+            .collect()
+    }
+}
+
+/// Keep the k smallest of `keys`, in linear time and no particular order.
+fn keep_k_best(keys: &mut Vec<u128>, k: usize) {
+    if keys.len() > k {
+        keys.select_nth_unstable(k - 1);
+        keys.truncate(k);
+    }
 }
 
 /// Exact k-selection of `dists` using a prebuilt [`Hierarchy`]
 /// (Top-Down search). Returns neighbors sorted ascending.
 pub fn select_top_down(dists: &[f32], h: &Hierarchy, k: usize) -> Vec<Neighbor> {
-    assert!(k > 0);
-    if h.depth() == 0 {
-        // Input already ≤ k elements (or build was skipped): direct scan.
-        return k_best(dists.iter().copied().zip(0u32..), k)
-            .into_iter()
-            .map(|(d, i)| Neighbor::new(d, i))
-            .collect();
-    }
-    let g = h.g;
-    // Top level: every element is a candidate.
-    let top = h.depth() - 1;
-    let mut cands: Vec<(f32, u32)> = k_best(h.level(top).iter().copied().zip(0u32..), k);
-    // Descend through reduced levels, expanding child groups.
-    for li in (0..top).rev() {
-        let below = h.level(li);
-        cands = k_best(
-            expand(&cands, g, below.len()).map(|i| (below[i as usize], i)),
-            k,
-        );
-    }
-    // Final level: the original list.
-    let res = k_best(
-        expand(&cands, g, dists.len()).map(|i| (dists[i as usize], i)),
-        k,
-    );
-    res.into_iter().map(|(d, i)| Neighbor::new(d, i)).collect()
-}
-
-/// Child indices of the candidate set: for candidate index `i`, the group
-/// `[i·g, min((i+1)·g, len))` in the level below.
-fn expand<'a>(
-    cands: &'a [(f32, u32)],
-    g: usize,
-    below_len: usize,
-) -> impl Iterator<Item = u32> + 'a {
-    cands.iter().flat_map(move |&(_, i)| {
-        let start = i as usize * g;
-        let end = (start + g).min(below_len);
-        (start as u32)..(end as u32)
-    })
+    TopDown::default().select(dists, h, k, f32::INFINITY)
 }
 
 /// Convenience wrapper: build the hierarchy and search in one call.

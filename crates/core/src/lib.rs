@@ -52,5 +52,5 @@ pub use chunked::select_k_chunked;
 pub use error::KnnError;
 pub use hierarchical::{hierarchical_select, Hierarchy, HpConfig};
 pub use queues::{HeapQueue, InsertionQueue, KQueue, MergeQueue, UpdateCounter};
-pub use select::{select_k, SelectConfig};
+pub use select::{select_k, SelectConfig, Selector};
 pub use types::{Neighbor, QueueKind, INF, NO_ID};

@@ -38,15 +38,20 @@ impl Neighbor {
     }
 }
 
+/// Result order: ascending by distance under IEEE `<` (so `-0.0 ==
+/// 0.0`; a NaN compares equal to everything), ties by id.
+#[inline]
+pub(crate) fn cmp_neighbors(a: &Neighbor, b: &Neighbor) -> core::cmp::Ordering {
+    a.dist
+        .partial_cmp(&b.dist)
+        .unwrap_or(core::cmp::Ordering::Equal)
+        .then(a.id.cmp(&b.id))
+}
+
 /// Sort a slice of neighbors ascending by distance (ties by id, for
 /// deterministic comparisons in tests).
 pub fn sort_neighbors(ns: &mut [Neighbor]) {
-    ns.sort_by(|a, b| {
-        a.dist
-            .partial_cmp(&b.dist)
-            .unwrap_or(core::cmp::Ordering::Equal)
-            .then(a.id.cmp(&b.id))
-    });
+    ns.sort_by(cmp_neighbors);
 }
 
 /// Which queue structure maintains the running k best candidates.

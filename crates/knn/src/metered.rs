@@ -484,6 +484,32 @@ mod tests {
         }
     }
 
+    /// Survivors each query pushes into its merger, recounted from its
+    /// full distance row: every tile's selection is seeded with the k-th
+    /// smallest distance of the tiles before it (+∞ until they hold k),
+    /// so a tile pushes min(k, its values below that distance).
+    fn seeded_pushes(queries: &PointSet, refs: &PointSet, k: usize, tile: usize) -> Vec<u64> {
+        let norms = crate::block::norms(refs);
+        let mut row = vec![0.0f32; refs.len()];
+        (0..queries.len())
+            .map(|qi| {
+                let qp = queries.point(qi);
+                let norm_q = crate::distance::squared_norm(qp);
+                crate::block::fill_row_range(qp, norm_q, refs, &norms, 0, &mut row);
+                (0..row.len())
+                    .step_by(tile)
+                    .map(|r0| {
+                        let mut seen = row[..r0].to_vec();
+                        seen.sort_by(|a, b| a.partial_cmp(b).unwrap());
+                        let bound = seen.get(k - 1).copied().unwrap_or(f32::INFINITY);
+                        let end = (r0 + tile).min(row.len());
+                        row[r0..end].iter().filter(|&&d| d < bound).count().min(k) as u64
+                    })
+                    .sum()
+            })
+            .collect()
+    }
+
     #[test]
     fn metered_searches_match_unmetered_and_populate_the_registry() {
         let queries = PointSet::uniform(24, 12, 131);
@@ -535,8 +561,11 @@ mod tests {
         assert_eq!(hist(&streamed_reg, "knn.tile.select_ns"), 96);
         assert_eq!(hist(&streamed_reg, "knn.tile.merge_ns"), 96);
         assert_eq!(streamed_reg.counter(QUERIES), 24);
-        // every tile yields min(k, tile) survivors: 4 tiles × 16 × 24
-        assert_eq!(streamed_reg.counter(MERGE_PUSH), 4 * 16 * 24);
+        // every tile yields its seeded survivors (4 tiles × 16 × 24
+        // before the first tile's k-th distance seeded the rest)
+        let pushes: u64 = seeded_pushes(&queries, &refs, 16, 100).iter().sum();
+        assert!(pushes < 4 * 16 * 24, "seeding prunes: {pushes}");
+        assert_eq!(streamed_reg.counter(MERGE_PUSH), pushes);
         assert_eq!(
             streamed_reg.counter(MERGE_PUSH) - streamed_reg.counter(MERGE_REJECT),
             (24 * 16) as u64,
@@ -605,11 +634,12 @@ mod tests {
         assert_eq!(out, streamed_plain);
         let snap = journal.snapshot();
         assert_eq!(snap.len(), 16);
+        let pushes = seeded_pushes(&queries, &refs, 8, 100);
         for r in &snap {
             assert_eq!(r.tile, 100);
             assert_eq!(r.blocks, 3, "300 refs / tile 100");
-            // every tile contributes min(k, tile) = 8 pushes
-            assert_eq!(r.merge_push, 3 * 8);
+            // every tile contributes its seeded survivors
+            assert_eq!(r.merge_push, pushes[r.query as usize]);
             assert_eq!(r.merge_push - r.merge_reject, 8, "kept = k");
             assert_eq!(r.scratch_bytes, 100 * 4, "one worker, one tile row");
             assert!(r.phase_ns.iter().any(|(k, _)| k == "tile_select"));
@@ -623,6 +653,7 @@ mod tests {
         let refs = PointSet::uniform(400, 12, 138);
         let cfg = SelectConfig::plain(QueueKind::Merge, 16);
         let one = knn_search_streamed_parallel(&queries, &refs, &cfg, 100, 1);
+        let pushes: u64 = seeded_pushes(&queries, &refs, 16, 100).iter().sum();
         for threads in [1usize, 2, 8] {
             let reg = MetricsRegistry::new();
             let out = knn_search_streamed_instrumented(
@@ -647,7 +678,7 @@ mod tests {
             assert_eq!(hist("knn.tile.select_ns").count, 280);
             assert_eq!(hist("knn.tile.merge_ns").count, 280);
             assert_eq!(reg.counter(QUERIES), 70);
-            assert_eq!(reg.counter(MERGE_PUSH), 4 * 16 * 70);
+            assert_eq!(reg.counter(MERGE_PUSH), pushes);
             assert_eq!(
                 reg.counter(MERGE_PUSH) - reg.counter(MERGE_REJECT),
                 70 * 16,
@@ -662,6 +693,7 @@ mod tests {
         let refs = PointSet::uniform(300, 10, 140);
         let cfg = SelectConfig::plain(QueueKind::Merge, 8);
         let one = knn_search_streamed_parallel(&queries, &refs, &cfg, 100, 1);
+        let pushes = seeded_pushes(&queries, &refs, 8, 100);
         for threads in [1usize, 2, 8] {
             let journal = EventJournal::new(JournalConfig::default());
             let ins = Instruments {
@@ -677,8 +709,8 @@ mod tests {
                 assert_eq!(r.tile, 100);
                 assert_eq!(r.blocks, 3, "300 refs / tile 100");
                 // Deterministic per-query merge invariants: every tile
-                // contributes min(k, tile) = 8 pushes and kept = k.
-                assert_eq!(r.merge_push, 3 * 8, "threads {threads}");
+                // contributes its seeded survivors and kept = k.
+                assert_eq!(r.merge_push, pushes[r.query as usize], "threads {threads}");
                 assert_eq!(r.merge_push - r.merge_reject, 8);
                 assert_eq!(r.status, "ok");
                 assert!(r.total_ns > 0, "tile phases must be timed");

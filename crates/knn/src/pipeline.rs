@@ -7,6 +7,7 @@
 //!   pipeline: workers claim query *blocks* from a shared cursor and,
 //!   per reference tile, fill each query's distance row into one reused
 //!   `tile`-length scratch row, k-select it with the configured variant
+//!   (seeded with the k-th distance the earlier tiles already hold)
 //!   and merge the survivors into that query's
 //!   [`kselect::chunked::StreamMerger`]. The full Q×N matrix is never
 //!   materialised, so peak distance memory is O(workers·tile) instead
@@ -36,7 +37,7 @@ use kselect::gpu::{
     GpuResilience, GpuResilientSelect, KernelCounters, SearchReport,
 };
 use kselect::types::Neighbor;
-use kselect::{KnnError, SelectConfig};
+use kselect::{KnnError, SelectConfig, Selector};
 use rayon::prelude::*;
 use simt::{Metrics, TimingModel};
 use trace::{NullTimeline, TimelineHooks};
@@ -218,8 +219,8 @@ pub fn knn_search_with_observed<O: PhaseObserver>(
     (0..queries.len())
         .into_par_iter()
         .map_init(
-            || vec![0.0f32; n],
-            |dists, qi| {
+            || (vec![0.0f32; n], Selector::new(*cfg)),
+            |(dists, selector), qi| {
                 obs.timed_q(Phase::Query, qi, || {
                     let qp = queries.point(qi);
                     obs.timed_q(Phase::RowFill, qi, || {
@@ -240,7 +241,9 @@ pub fn knn_search_with_observed<O: PhaseObserver>(
                             }
                         }
                     });
-                    obs.timed_q(Phase::RowSelect, qi, || kselect::select_k(dists, cfg))
+                    obs.timed_q(Phase::RowSelect, qi, || {
+                        selector.select(dists, f32::INFINITY)
+                    })
                 })
             },
         )
@@ -302,13 +305,18 @@ pub fn knn_search_streamed_parallel(
 /// finishes one) and walk *every* reference tile of their block in
 /// ascending order. Per tile, each query of the block has its distance
 /// row filled into the worker's one `tile`-length scratch row
-/// ([`Phase::TileFill`]), k-selected ([`Phase::TileSelect`]) and merged
-/// into its [`StreamMerger`] ([`Phase::TileMerge`]) before the next
-/// query reuses the row. Each query's survivors therefore reach its
-/// merger in ascending tile order at any thread count, so the neighbors
-/// are identical at any thread count; only wall-clock interleaving
-/// varies. Peak distance scratch is `workers × min(tile, N)` floats.
-/// One worker runs inline on the caller's thread.
+/// ([`Phase::TileFill`]), k-selected by the worker's one reused
+/// [`Selector`] ([`Phase::TileSelect`]) and merged into its
+/// [`StreamMerger`] ([`Phase::TileMerge`]) before the next query reuses
+/// the row. The selection only considers values below the merger's
+/// current k-th distance ([`StreamMerger::bound`]): a later tile's value
+/// at or above it has a larger id and would be cut by the merge anyway,
+/// so the neighbors are those of the unseeded selection. Each query's
+/// survivors reach its merger in ascending tile order at any thread
+/// count, so the neighbors are identical at any thread count; only
+/// wall-clock interleaving varies. Peak distance scratch is
+/// `workers × min(tile, N)` floats. One worker runs inline on the
+/// caller's thread.
 ///
 /// `obs` receives the per-phase hooks from whichever worker owns the
 /// query's block; the aggregate merge totals are folded once after the
@@ -377,6 +385,7 @@ pub fn knn_search_streamed_parallel_timelined<
         tl.worker_started(worker);
         tl.scratch_reserved(worker, row_bytes);
         let mut scratch = vec![0.0f32; tile];
+        let mut selector = Selector::new(*cfg);
         'work: loop {
             if cancel_at.load(Ordering::Relaxed) != usize::MAX {
                 break 'work;
@@ -414,7 +423,10 @@ pub fn knn_search_streamed_parallel_timelined<
                             &mut *row,
                         )
                     });
-                    let topk = obs.timed_q(Phase::TileSelect, qi, || kselect::select_k(row, cfg));
+                    // Exact: a value ≥ the merger's k-th distance loses
+                    // to it, since this tile's ids are all larger.
+                    let bound = merger.bound();
+                    let topk = obs.timed_q(Phase::TileSelect, qi, || selector.select(row, bound));
                     obs.timed(Phase::TileMerge, || merger.push_chunk(topk, r0 as u32));
                 }
                 tl.tile_walked(worker, b, tiles_done);
@@ -883,6 +895,70 @@ mod tests {
                     let parallel =
                         knn_search_streamed_parallel(&queries, &refs, &cfg, tile, threads);
                     assert_eq!(parallel, one, "kind {kind:?} tile {tile} threads {threads}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn optimized_streamed_matches_materialized_at_any_tile_and_thread_count() {
+        // The optimized config selects each tile through HP seeded with
+        // the merger's running k-th distance; the neighbors must still be
+        // byte-identical to one unseeded selection over the whole row.
+        // 40 queries = 2 query blocks.
+        let queries = PointSet::uniform(40, 12, 226);
+        let refs = PointSet::uniform(1000, 12, 227);
+        for k in [8usize, 32, 128, 512] {
+            let cfg = SelectConfig::optimized(QueueKind::Merge, k);
+            let full = knn_search(&queries, &refs, &cfg);
+            for tile in [7usize, k - 1, k, 100, 499, 4096] {
+                for threads in [1usize, 2, 8] {
+                    let streamed =
+                        knn_search_streamed_parallel(&queries, &refs, &cfg, tile, threads);
+                    assert_eq!(streamed, full, "k {k} tile {tile} threads {threads}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn optimized_streamed_is_exact_under_ties_at_the_kth_value() {
+        // 340 distinct points, each three times: every distance comes in
+        // three tied copies spread over different tiles, and no k below
+        // is a multiple of 3, so the k-th value is tied. Any of the tied
+        // ids may be kept; distances may not move.
+        let base = PointSet::uniform(340, 6, 228);
+        let flat: Vec<f32> = (0..1020)
+            .flat_map(|i| base.point(i % 340).to_vec())
+            .collect();
+        let refs = PointSet::from_flat(flat, 6);
+        let queries = PointSet::uniform(40, 6, 229);
+        let ref_norms = block::norms(&refs);
+        let mut row = vec![0.0f32; refs.len()];
+        for k in [8usize, 32, 128, 512] {
+            let cfg = SelectConfig::optimized(QueueKind::Merge, k);
+            let full = knn_search(&queries, &refs, &cfg);
+            for tile in [7usize, k - 1, k, 100, 499, 4096] {
+                for threads in [1usize, 2, 8] {
+                    let streamed =
+                        knn_search_streamed_parallel(&queries, &refs, &cfg, tile, threads);
+                    for (qi, (got, want)) in streamed.iter().zip(&full).enumerate() {
+                        let at = format!("k {k} tile {tile} threads {threads} query {qi}");
+                        let dists = |ns: &[Neighbor]| {
+                            ns.iter().map(|n| n.dist.to_bits()).collect::<Vec<_>>()
+                        };
+                        assert_eq!(dists(got), dists(want), "{at}");
+                        let qp = queries.point(qi);
+                        let norm_q = crate::distance::squared_norm(qp);
+                        block::fill_row_range(qp, norm_q, &refs, &ref_norms, 0, &mut row);
+                        for n in got {
+                            assert_eq!(row[n.id as usize].to_bits(), n.dist.to_bits(), "{at}");
+                        }
+                        let mut ids: Vec<u32> = got.iter().map(|n| n.id).collect();
+                        ids.sort_unstable();
+                        ids.dedup();
+                        assert_eq!(ids.len(), k, "{at}: duplicate ids");
+                    }
                 }
             }
         }
