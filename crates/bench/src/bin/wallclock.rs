@@ -25,7 +25,9 @@
 //!   which are asserted to return identical neighbors before any number
 //!   is written;
 //! * `*_peak_distance_bytes` — the distance-buffer working set of each
-//!   path: Q·N·4 materialized vs workers·min(tile, N)·4 streamed;
+//!   path: Q·N·4 materialized; streamed, the `knn.scratch.peak_bytes`
+//!   the pipeline reports on an untimed metered run (two tile rows per
+//!   worker, one per query of the pair the distance kernel fills);
 //! * with `--sweep-tiles`, `tile_sweep[]` — streamed QPS per tile size
 //!   in {1024, 2048, 4096, 8192} (clamped to N), plus `best_tile`, the
 //!   sweep's QPS argmax. Each tile length is timed exactly once per
@@ -295,9 +297,23 @@ fn main() {
     if !measure_tiles.contains(&tile) {
         measure_tiles.insert(0, tile);
     }
-    // Distance-scratch working set of the streamed path: one tile-length
-    // row per worker.
-    let streamed_peak = |t: usize| -> u64 { (workers * t.min(n) * 4) as u64 };
+    // Distance-scratch working set of the streamed path, as the pipeline
+    // itself reports it (`knn.scratch.peak_bytes`) on one untimed metered
+    // run per tile, so the artifact cannot drift from the code. The run
+    // is checked against the materialized neighbors too.
+    let streamed_peak = |t: usize| -> u64 {
+        let tile_reg = MetricsRegistry::new();
+        let ins = knn::Instruments {
+            registry: Some(&tile_reg),
+            ..knn::Instruments::default()
+        };
+        let nb = knn::knn_search_streamed_instrumented(&queries, &refs, &cfg, t, workers, &ins);
+        assert_eq!(
+            nb, mat_neighbors,
+            "metered streamed pipeline (tile {t}) disagrees with the materialized oracle"
+        );
+        tile_reg.peak(knn::metered::SCRATCH_PEAK_BYTES)
+    };
     let mut measured: Vec<TileSweepEntry> = Vec::new();
     for &t in &measure_tiles {
         let metric = if t == tile {

@@ -10,11 +10,12 @@
 //! Chunking is exact for any chunk size: an element in the global top-k
 //! is necessarily in its own chunk's top-k. Each merge is a linear merge
 //! of two sorted runs (the running top-k and the chunk's picks), cut at
-//! k. Once the running set holds k entries its k-th distance bounds
-//! every later chunk: chunks arrive with ascending ids, so a later value
-//! equal to the k-th would lose the `(dist, id)` tie and a larger one
-//! loses outright. [`StreamMerger::bound`] exposes that distance, and
-//! the chunk's [`Selector`] considers only values strictly below it.
+//! k and written in place. Once the running set holds k entries its
+//! k-th distance bounds every later chunk: chunks arrive with ascending
+//! ids, so a later value equal to the k-th would lose the `(dist, id)`
+//! tie and a larger one loses outright. [`StreamMerger::bound`] exposes
+//! that distance, and the chunk's [`Selector`] considers only values
+//! strictly below it.
 
 use crate::select::{SelectConfig, Selector};
 use crate::types::{cmp_neighbors, Neighbor};
@@ -26,16 +27,14 @@ use crate::types::{cmp_neighbors, Neighbor};
 /// [`select_k_chunked`].
 ///
 /// Feed it each chunk's top-k with the chunk's global id offset; it keeps
-/// at most `k` candidates plus a `k`-entry merge buffer, so memory stays
-/// O(k) regardless of how many chunks stream through. Ties resolve by
+/// at most `k` candidates, merged in place, so memory stays O(k)
+/// regardless of how many chunks stream through. Ties resolve by
 /// `(dist, id)` — identical to a single [`crate::select_k`] over the
 /// concatenated list.
 #[derive(Clone, Debug)]
 pub struct StreamMerger {
     k: usize,
     acc: Vec<Neighbor>,
-    /// Merge output buffer, swapped with `acc` after each chunk.
-    spare: Vec<Neighbor>,
     stats: MergeStats,
 }
 
@@ -63,7 +62,6 @@ impl StreamMerger {
         StreamMerger {
             k,
             acc: Vec::with_capacity(k),
-            spare: Vec::with_capacity(k),
             stats: MergeStats::default(),
         }
     }
@@ -75,36 +73,52 @@ impl StreamMerger {
     /// keeping the first k (truncation is lossless: an element of the
     /// global top-k is necessarily in the running top-k of every prefix
     /// of chunks). A chunk already sorted by `(dist, id)`, as a
-    /// [`Selector`] returns it, is merged in one linear pass; any other
-    /// chunk is sorted first.
+    /// [`Selector`] returns it, is merged in linear time; any other
+    /// chunk is sorted first. The merge runs in place, in the running
+    /// set's own k-entry buffer.
     pub fn push_chunk(&mut self, mut chunk: Vec<Neighbor>, id_offset: u32) {
         if !chunk.is_sorted_by(|a, b| cmp_neighbors(a, b).is_le()) {
             chunk.sort_by(cmp_neighbors);
         }
+        // A constant offset keeps the chunk's (dist, id) order.
+        for c in &mut chunk {
+            c.id += id_offset;
+        }
         self.stats.pushed += chunk.len() as u64;
-        let before = self.acc.len() + chunk.len();
-        let (held, out) = (&self.acc, &mut self.spare);
-        out.clear();
-        let (mut i, mut j) = (0, 0);
-        while out.len() < self.k && (i < held.len() || j < chunk.len()) {
-            // A chunk entry goes first only when strictly smaller, as in
-            // a stable sort of the held entries followed by the chunk.
-            match chunk
-                .get(j)
-                .map(|c| Neighbor::new(c.dist, c.id + id_offset))
-            {
-                Some(c) if i == held.len() || cmp_neighbors(&c, &held[i]).is_lt() => {
-                    out.push(c);
-                    j += 1;
-                }
-                _ => {
-                    out.push(held[i]);
-                    i += 1;
-                }
+        let held = self.acc.len();
+        let kept = self.k.min(held + chunk.len());
+        // Count, without writing, how many chunk (`j`) and held (`i`)
+        // entries make the first `kept`. A chunk entry goes first only
+        // when strictly smaller, as in a stable sort of the held entries
+        // followed by the chunk, so `j` is the least count at which
+        // `chunk[j]` no longer beats the last held entry taken; that
+        // test flips once as `j` grows, so a binary search finds it.
+        let (mut lo, mut hi) = (kept.saturating_sub(held), kept.min(chunk.len()));
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            if cmp_neighbors(&chunk[mid], &self.acc[kept - mid - 1]).is_lt() {
+                lo = mid + 1;
+            } else {
+                hi = mid;
             }
         }
-        core::mem::swap(&mut self.acc, &mut self.spare);
-        self.stats.rejected += (before - self.acc.len()) as u64;
+        let (mut i, mut j) = (kept - lo, lo);
+        // Merge those backwards in place. While chunk entries remain,
+        // the write slot `i + j - 1` lies above every unread held entry;
+        // once they are placed, the held prefix is already in position.
+        // `kept ≤ k`, the buffer's capacity, so this never reallocates.
+        self.acc.resize(kept, Neighbor::new(0.0, 0));
+        while j > 0 {
+            let c = chunk[j - 1];
+            if i > 0 && cmp_neighbors(&c, &self.acc[i - 1]).is_lt() {
+                self.acc[i + j - 1] = self.acc[i - 1];
+                i -= 1;
+            } else {
+                self.acc[i + j - 1] = c;
+                j -= 1;
+            }
+        }
+        self.stats.rejected += (held + chunk.len() - kept) as u64;
     }
 
     /// The strict bound a later chunk's value must beat to enter: the

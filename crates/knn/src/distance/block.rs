@@ -23,10 +23,12 @@
 //! scalar [`crate::squared_distance`] uses, so blocked output equals the
 //! scalar reference bit for bit (property-tested).
 //!
-//! The tile-streamed search path
-//! ([`crate::pipeline::knn_search_streamed_parallel`]) reuses the row
-//! primitives here to compute one query × one reference tile at a time
-//! into a reused scratch row, never materialising the Q×N matrix.
+//! Both this kernel and the tile-streamed search path
+//! ([`crate::pipeline::knn_search_streamed_parallel`]) fill rows in
+//! query pairs through [`fill_row_pair`], so each reference chunk is
+//! loaded once for two queries. The streamed path fills one pair × one
+//! reference tile at a time into two reused scratch rows, never
+//! materialising the Q×N matrix.
 
 use rayon::prelude::*;
 
@@ -42,9 +44,10 @@ pub const QUERY_BLOCK: usize = 32;
 pub const REF_TILE: usize = 256;
 
 /// Default reference-tile length (elements per query per chunk) of the
-/// streamed search path. Each worker's scratch is `QUERY_BLOCK ×
-/// DEFAULT_STREAM_TILE` floats; 2048 keeps that at 256 KiB while still
-/// amortising the per-tile selection merge for typical `k ≤ 512`.
+/// streamed search path. Each worker's scratch is two rows of
+/// `DEFAULT_STREAM_TILE` floats — one per query of the pair the
+/// distance kernel fills at once — so 2048 keeps it at 16 KiB while
+/// still amortising the per-tile selection merge for typical `k ≤ 512`.
 ///
 /// Chosen empirically: `wallclock --sweep-tiles` (Q=1024, N=2^14,
 /// dim=128, k=32) measures streamed QPS across {1024, 2048, 4096,
@@ -152,6 +155,22 @@ pub fn fill_row_range(
     simd::fill_rows(qp, norm_q, refs, ref_norms, r0, out);
 }
 
+/// [`fill_row_range`] for two queries against the same reference range:
+/// `outs[b][j] = clamp_non_finite(‖qps[b] − refs[r0 + j]‖²)`, bit-equal
+/// to two single-row fills. See [`simd::fill_rows_pair`].
+#[inline]
+pub fn fill_row_pair(
+    qps: [&[f32]; 2],
+    norm_qs: [f32; 2],
+    refs: &PointSet,
+    ref_norms: &[f32],
+    r0: usize,
+    outs: [&mut [f32]; 2],
+) {
+    debug_assert!(r0 + outs[0].len() <= refs.len());
+    simd::fill_rows_pair(qps, norm_qs, refs, ref_norms, r0, outs);
+}
+
 /// The blocked kernel: the full Q×N squared-distance matrix as a flat
 /// row-major [`FlatMatrix`], parallel over per-worker slabs of query
 /// rows, tile-outer over [`REF_TILE`]-sized reference tiles within
@@ -183,18 +202,34 @@ pub fn squared_distances(queries: &PointSet, refs: &PointSet) -> FlatMatrix {
         // pulled into cache once per slab and reused across every query
         // row in the slab, instead of once per QUERY_BLOCK — for large
         // N that divides the reference re-read traffic by the slab's
-        // row count. Fill order changes; per-pair bits do not.
+        // row count. Within a tile the slab's rows are filled in pairs
+        // (an odd last row alone), sharing each reference load between
+        // two queries. Fill order changes; per-pair bits do not.
         for r0 in (0..n).step_by(REF_TILE) {
-            let t_len = REF_TILE.min(n - r0);
-            for (i, row) in slab.chunks_exact_mut(n.max(1)).enumerate() {
-                fill_row_range(
-                    queries.point(q0 + i),
-                    q_norms[q0 + i],
-                    refs,
-                    &ref_norms,
-                    r0,
-                    &mut row[r0..r0 + t_len],
-                );
+            let cols = r0..r0 + REF_TILE.min(n - r0);
+            for (p, rows) in slab.chunks_mut(2 * n.max(1)).enumerate() {
+                let qa = q0 + 2 * p;
+                // `b` is empty for an odd last row.
+                let (a, b) = rows.split_at_mut(n);
+                if b.is_empty() {
+                    fill_row_range(
+                        queries.point(qa),
+                        q_norms[qa],
+                        refs,
+                        &ref_norms,
+                        r0,
+                        &mut a[cols.clone()],
+                    );
+                } else {
+                    fill_row_pair(
+                        [queries.point(qa), queries.point(qa + 1)],
+                        [q_norms[qa], q_norms[qa + 1]],
+                        refs,
+                        &ref_norms,
+                        r0,
+                        [&mut a[cols.clone()], &mut b[cols.clone()]],
+                    );
+                }
             }
         }
     });

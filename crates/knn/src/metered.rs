@@ -27,12 +27,14 @@
 //! |------|------|---------|
 //! | `knn.query.latency_ns` | histogram | one query end to end (row fill + select) |
 //! | `knn.row.fill_ns` / `knn.row.select_ns` | histogram | phases of the above |
-//! | `knn.tile.fill_ns` / `knn.tile.select_ns` | histogram | per query × tile phases of the streamed path |
+//! | `knn.tile.fill_ns` | histogram | distance fill of one query pair (or an odd last query) × tile on the streamed path |
+//! | `knn.tile.select_ns` | histogram | per query × tile selection of the streamed path |
 //! | `knn.tile.merge_ns` | histogram | stream merge of one query's tile survivors (per query × tile, at every thread count) |
-//! | `knn.scratch.peak_bytes` | peak | distance-scratch high-water mark: `workers × min(tile, N) × 4` streamed, `N × 4` per worker on the row path |
+//! | `knn.scratch.peak_bytes` | peak | distance-scratch high-water mark: `workers × rows × min(tile, N) × 4` streamed (`rows` = 2, or 1 when a block holds one query), `N × 4` per worker on the row path |
 //! | `knn.stream.merge_push` / `knn.stream.merge_reject` | counter | stream-merge candidate totals |
 //! | `knn.queries` | counter | queries answered by instrumented searches |
 
+use std::ops::Range;
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -225,14 +227,26 @@ impl PhaseObserver for JournalObserver<'_> {
     }
 
     fn timed_q<R>(&self, phase: Phase, qi: usize, f: impl FnOnce() -> R) -> R {
+        self.timed_qs(phase, qi..qi + 1, f)
+    }
+
+    /// One registry observation for the shared span; the journal splits
+    /// its nanoseconds evenly across `qs`, the remainder to the first
+    /// query, so the per-query values sum to the span exactly.
+    fn timed_qs<R>(&self, phase: Phase, qs: Range<usize>, f: impl FnOnce() -> R) -> R {
         let t0 = Instant::now();
         let out = f();
         let ns = t0.elapsed().as_nanos() as u64;
         if let Some(reg) = self.registry {
             reg.observe_ns(phase_metric(phase), ns);
         }
-        if phase_key(phase).is_some() {
-            self.draft(qi).add(phase, ns);
+        if phase_key(phase).is_some() && !qs.is_empty() {
+            let n = qs.len() as u64;
+            let (share, rem) = (ns / n, ns % n);
+            for qi in qs.clone() {
+                let extra = if qi == qs.start { rem } else { 0 };
+                self.draft(qi).add(phase, share + extra);
+            }
         }
         out
     }
@@ -540,8 +554,9 @@ mod tests {
             &metered(&streamed_reg),
         );
         assert_eq!(streamed, streamed_plain);
-        // the streamed path holds one tile row per worker
-        assert_eq!(streamed_reg.peak(SCRATCH_PEAK_BYTES), 100 * 4);
+        // the streamed path holds two tile rows per worker, one per
+        // query of the pair the distance kernel fills at once
+        assert_eq!(streamed_reg.peak(SCRATCH_PEAK_BYTES), 2 * 100 * 4);
 
         let hist = |reg: &MetricsRegistry, name: &str| {
             reg.snapshot()
@@ -556,8 +571,9 @@ mod tests {
         assert_eq!(hist(&reg, "knn.row.select_ns"), 24);
         assert_eq!(reg.counter(QUERIES), 24);
         // 400 refs / tile 100 = 4 tiles × 24 queries; the merge is
-        // observed per query × tile too
-        assert_eq!(hist(&streamed_reg, "knn.tile.fill_ns"), 96);
+        // observed per query × tile too. One fill span covers a query
+        // pair: 12 pairs × 4 tiles.
+        assert_eq!(hist(&streamed_reg, "knn.tile.fill_ns"), 48);
         assert_eq!(hist(&streamed_reg, "knn.tile.select_ns"), 96);
         assert_eq!(hist(&streamed_reg, "knn.tile.merge_ns"), 96);
         assert_eq!(streamed_reg.counter(QUERIES), 24);
@@ -641,7 +657,11 @@ mod tests {
             // every tile contributes its seeded survivors
             assert_eq!(r.merge_push, pushes[r.query as usize]);
             assert_eq!(r.merge_push - r.merge_reject, 8, "kept = k");
-            assert_eq!(r.scratch_bytes, 100 * 4, "one worker, one tile row");
+            assert_eq!(
+                r.scratch_bytes,
+                2 * 100 * 4,
+                "one worker, one tile-row pair"
+            );
             assert!(r.phase_ns.iter().any(|(k, _)| k == "tile_select"));
             assert!(r.total_ns > 0);
         }
@@ -673,8 +693,10 @@ mod tests {
                     .unwrap_or_else(|| panic!("missing histogram {name}"))
             };
             // 400 refs / tile 100 = 4 tiles × 70 queries, regardless of
-            // how blocks were distributed across workers.
-            assert_eq!(hist("knn.tile.fill_ns").count, 280, "threads {threads}");
+            // how blocks were distributed across workers. One fill span
+            // covers a query pair: blocks of 32, 32 and 6 queries are
+            // 35 pairs × 4 tiles.
+            assert_eq!(hist("knn.tile.fill_ns").count, 140, "threads {threads}");
             assert_eq!(hist("knn.tile.select_ns").count, 280);
             assert_eq!(hist("knn.tile.merge_ns").count, 280);
             assert_eq!(reg.counter(QUERIES), 70);
@@ -723,6 +745,50 @@ mod tests {
         }
     }
 
+    #[test]
+    fn shared_fill_spans_split_exactly_across_their_queries() {
+        // 33 queries: one full block of 16 pairs and a one-query block.
+        let queries = PointSet::uniform(33, 10, 149);
+        let refs = PointSet::uniform(300, 10, 150);
+        let cfg = SelectConfig::plain(QueueKind::Merge, 8);
+        for threads in [1usize, 2] {
+            let journal = EventJournal::new(JournalConfig::default());
+            let reg = MetricsRegistry::new();
+            let ins = Instruments {
+                registry: Some(&reg),
+                journal: Some(&journal),
+                tag: "split-run",
+                ..Instruments::default()
+            };
+            knn_search_streamed_instrumented(&queries, &refs, &cfg, 100, threads, &ins);
+            let fill = |r: &QueryRecord| {
+                r.phase_ns
+                    .iter()
+                    .find(|(k, _)| k == phases::TILE_FILL)
+                    .map_or(0, |(_, ns)| *ns)
+            };
+            let snap = journal.snapshot();
+            assert_eq!(snap.len(), 33);
+            assert!(
+                snap.iter().all(|r| fill(r) > 0),
+                "every query carries a share of its fill spans (threads {threads})"
+            );
+            let spans = reg
+                .snapshot()
+                .histograms
+                .into_iter()
+                .find(|h| h.name == "knn.tile.fill_ns")
+                .expect("fill histogram");
+            // 16 pairs + 1 single query, × 3 tiles
+            assert_eq!(spans.count, 17 * 3);
+            assert_eq!(
+                snap.iter().map(fill).sum::<u64>(),
+                spans.sum_ns,
+                "per-query fill shares sum to the registry's spans (threads {threads})"
+            );
+        }
+    }
+
     /// Runs the streamed search with only a timeline attached and checks
     /// the block accounting every timeline promises: every block on
     /// exactly one lane, and busy + idle == wall on every lane.
@@ -761,8 +827,8 @@ mod tests {
                 lane.worker
             );
             assert!(lane.utilization <= 1.0 + f64::EPSILON);
-            // one tile row of scratch per worker
-            assert_eq!(lane.scratch_peak_bytes, 100 * 4);
+            // one tile-row pair of scratch per worker
+            assert_eq!(lane.scratch_peak_bytes, 2 * 100 * 4);
         }
         assert!(report.imbalance >= 1.0);
         report

@@ -5,10 +5,10 @@
 //!   per worker. This is what a downstream user of the crate calls.
 //! * [`knn_search_streamed_parallel`] — the tile-streamed native
 //!   pipeline: workers claim query *blocks* from a shared cursor and,
-//!   per reference tile, fill each query's distance row into one reused
-//!   `tile`-length scratch row, k-select it with the configured variant
-//!   (seeded with the k-th distance the earlier tiles already hold)
-//!   and merge the survivors into that query's
+//!   per reference tile, fill the distance rows of a query pair into
+//!   two reused `tile`-length scratch rows, k-select each with the
+//!   configured variant (seeded with the k-th distance the earlier
+//!   tiles already hold) and merge the survivors into that query's
 //!   [`kselect::chunked::StreamMerger`]. The full Q×N matrix is never
 //!   materialised, so peak distance memory is O(workers·tile) instead
 //!   of O(Q·N). Distances are bit-for-bit those of [`knn_search`], the
@@ -30,6 +30,8 @@
 //!   typed input validation ([`KnnError`]), PCIe transfers that survive
 //!   stalls and detected corruption, and per-warp retry with degraded
 //!   host fallback via [`kselect::gpu::gpu_select_k_resilient`].
+
+use std::ops::Range;
 
 use kselect::chunked::StreamMerger;
 use kselect::gpu::{
@@ -57,8 +59,8 @@ pub enum Phase {
     RowFill,
     /// k-selection over one query's full row in [`knn_search_with`].
     RowSelect,
-    /// Distance fill of one query × one reference tile in
-    /// [`knn_search_streamed_parallel_timelined`].
+    /// Distance fill of one query pair (or an odd last query) × one
+    /// reference tile in [`knn_search_streamed_parallel_timelined`].
     TileFill,
     /// Per-tile k-selection of one query in
     /// [`knn_search_streamed_parallel_timelined`].
@@ -94,6 +96,15 @@ pub trait PhaseObserver: Sync {
     #[inline]
     fn timed_q<R>(&self, phase: Phase, qi: usize, f: impl FnOnce() -> R) -> R {
         let _ = qi;
+        self.timed(phase, f)
+    }
+    /// [`PhaseObserver::timed`] for one span shared by the queries
+    /// `qs` — the streamed path fills a query pair's rows in one kernel
+    /// call. Defaults to the query-blind `timed` (one observation); the
+    /// per-query journal overrides this to split the span across `qs`.
+    #[inline]
+    fn timed_qs<R>(&self, phase: Phase, qs: Range<usize>, f: impl FnOnce() -> R) -> R {
+        let _ = qs;
         self.timed(phase, f)
     }
     /// Peak bytes of the distance scratch a pipeline holds.
@@ -303,20 +314,24 @@ pub fn knn_search_streamed_parallel(
 /// Workers claim [`block::QUERY_BLOCK`]-sized query blocks from a shared
 /// atomic cursor (a fast worker takes the next block as soon as it
 /// finishes one) and walk *every* reference tile of their block in
-/// ascending order. Per tile, each query of the block has its distance
-/// row filled into the worker's one `tile`-length scratch row
-/// ([`Phase::TileFill`]), k-selected by the worker's one reused
-/// [`Selector`] ([`Phase::TileSelect`]) and merged into its
-/// [`StreamMerger`] ([`Phase::TileMerge`]) before the next query reuses
-/// the row. The selection only considers values below the merger's
+/// ascending order. Per tile, the block's queries are walked in pairs:
+/// one kernel call fills both distance rows into the worker's two
+/// `tile`-length scratch rows ([`Phase::TileFill`], one span shared by
+/// the pair), then each query in turn is k-selected by the worker's one
+/// reused [`Selector`] ([`Phase::TileSelect`]) and merged into its
+/// [`StreamMerger`] ([`Phase::TileMerge`]) before the next pair reuses
+/// the rows. An odd last query is filled alone. Every distance is
+/// bit-equal to the single-row fill's, so pairing changes no neighbor.
+/// The selection only considers values below the merger's
 /// current k-th distance ([`StreamMerger::bound`]): a later tile's value
 /// at or above it has a larger id and would be cut by the merge anyway,
 /// so the neighbors are those of the unseeded selection. Each query's
 /// survivors reach its merger in ascending tile order at any thread
 /// count, so the neighbors are identical at any thread count; only
 /// wall-clock interleaving varies. Peak distance scratch is
-/// `workers × min(tile, N)` floats. One worker runs inline on the
-/// caller's thread.
+/// `workers × rows × min(tile, N)` floats, where `rows` is 2, or 1 when
+/// a block holds a single query. One worker runs inline on the caller's
+/// thread.
 ///
 /// `obs` receives the per-phase hooks from whichever worker owns the
 /// query's block; the aggregate merge totals are folded once after the
@@ -369,8 +384,10 @@ pub fn knn_search_streamed_parallel_timelined<
     let block_len = block::QUERY_BLOCK.min(q.max(1));
     let blocks_total = q.div_ceil(block_len);
     let workers = resolve_threads(threads).min(blocks_total.max(1));
-    let row_bytes = (tile * core::mem::size_of::<f32>()) as u64;
-    obs.scratch_bytes(workers as u64 * row_bytes);
+    // One scratch row per query of the pair the kernel fills at once.
+    let rows = 2.min(block_len);
+    let scratch_bytes = (rows * tile * core::mem::size_of::<f32>()) as u64;
+    obs.scratch_bytes(workers as u64 * scratch_bytes);
 
     let next_block = AtomicUsize::new(0);
     // Earliest tile boundary any block's token tripped at; usize::MAX =
@@ -383,8 +400,8 @@ pub fn knn_search_streamed_parallel_timelined<
 
     rayon::scope_broadcast(workers, |worker| {
         tl.worker_started(worker);
-        tl.scratch_reserved(worker, row_bytes);
-        let mut scratch = vec![0.0f32; tile];
+        tl.scratch_reserved(worker, scratch_bytes);
+        let mut scratch = vec![0.0f32; rows * tile];
         let mut selector = Selector::new(*cfg);
         'work: loop {
             if cancel_at.load(Ordering::Relaxed) != usize::MAX {
@@ -411,23 +428,42 @@ pub fn knn_search_streamed_parallel_timelined<
                     tl.block_finished(worker, b, tiles_done);
                     break 'work;
                 }
-                let row = &mut scratch[..tile.min(n - r0)];
-                for (qi, merger) in (q0..q1).zip(&mut mergers) {
-                    obs.timed_q(Phase::TileFill, qi, || {
-                        block::fill_row_range(
-                            queries.point(qi),
-                            q_norms[qi],
-                            refs,
-                            &ref_norms,
-                            r0,
-                            &mut *row,
-                        )
+                let len = tile.min(n - r0);
+                for (pair, ms) in (q0..q1).step_by(2).zip(mergers.chunks_mut(2)) {
+                    let qs = pair..pair + ms.len();
+                    let (row0, row1) = scratch.split_at_mut(tile);
+                    // `row1` is empty when blocks hold one query.
+                    let (row0, row1) = (&mut row0[..len], row1.get_mut(..len).unwrap_or_default());
+                    obs.timed_qs(Phase::TileFill, qs.clone(), || {
+                        if qs.len() == 2 {
+                            block::fill_row_pair(
+                                [queries.point(pair), queries.point(pair + 1)],
+                                [q_norms[pair], q_norms[pair + 1]],
+                                refs,
+                                &ref_norms,
+                                r0,
+                                [&mut *row0, &mut *row1],
+                            )
+                        } else {
+                            block::fill_row_range(
+                                queries.point(pair),
+                                q_norms[pair],
+                                refs,
+                                &ref_norms,
+                                r0,
+                                &mut *row0,
+                            )
+                        }
                     });
-                    // Exact: a value ≥ the merger's k-th distance loses
-                    // to it, since this tile's ids are all larger.
-                    let bound = merger.bound();
-                    let topk = obs.timed_q(Phase::TileSelect, qi, || selector.select(row, bound));
-                    obs.timed(Phase::TileMerge, || merger.push_chunk(topk, r0 as u32));
+                    for ((qi, merger), row) in qs.zip(ms).zip([&*row0, &*row1]) {
+                        // Exact: a value ≥ the merger's k-th distance
+                        // loses to it, since this tile's ids are all
+                        // larger.
+                        let bound = merger.bound();
+                        let topk =
+                            obs.timed_q(Phase::TileSelect, qi, || selector.select(row, bound));
+                        obs.timed(Phase::TileMerge, || merger.push_chunk(topk, r0 as u32));
+                    }
                 }
                 tl.tile_walked(worker, b, tiles_done);
             }
@@ -989,33 +1025,39 @@ mod tests {
     }
 
     #[test]
-    fn scratch_is_one_tile_row_per_worker() {
+    fn scratch_is_one_tile_row_pair_per_worker() {
         // 300 queries = 10 query blocks, so 8 workers all get one.
         let queries = PointSet::uniform(300, 8, 224);
         let refs = PointSet::uniform(500, 8, 225);
         let cfg = SelectConfig::plain(QueueKind::Heap, 8);
+        let peak_of = |queries: &PointSet, tile: usize, threads: usize| {
+            let peak = ScratchPeak::default();
+            knn_search_streamed_parallel_timelined(
+                queries,
+                &refs,
+                &cfg,
+                tile,
+                threads,
+                &peak,
+                &NeverCancel,
+                &NullTimeline,
+            )
+            .expect("NeverCancel never trips");
+            peak.0.into_inner()
+        };
         for threads in [1usize, 2, 8] {
-            // tile < N, and tile > N (the row clamps to N).
+            // tile < N, and tile > N (the row clamps to N): two rows,
+            // one per query of the pair the kernel fills at once.
             for (tile, row) in [(100usize, 100u64), (4096, 500)] {
-                let peak = ScratchPeak::default();
-                knn_search_streamed_parallel_timelined(
-                    &queries,
-                    &refs,
-                    &cfg,
-                    tile,
-                    threads,
-                    &peak,
-                    &NeverCancel,
-                    &NullTimeline,
-                )
-                .expect("NeverCancel never trips");
                 assert_eq!(
-                    peak.0.into_inner(),
-                    threads as u64 * row * 4,
+                    peak_of(&queries, tile, threads),
+                    threads as u64 * 2 * row * 4,
                     "threads {threads} tile {tile}"
                 );
             }
         }
+        // A one-query search has one-query blocks: one row.
+        assert_eq!(peak_of(&PointSet::uniform(1, 8, 226), 100, 2), 100 * 4);
     }
 
     #[test]

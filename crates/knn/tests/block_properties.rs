@@ -24,6 +24,9 @@
 //!    neighbors at 2 and 8 threads as on one — the work-stealing
 //!    schedule moves blocks between workers, never the per-query merge
 //!    order.
+//! 5. The streamed loop's paired row fill (two queries per kernel call,
+//!    a lone query on odd counts) must return `knn_search`'s neighbors
+//!    byte for byte.
 
 use knn::{
     block, clamp_non_finite, knn_search, knn_search_streamed_parallel, simd, squared_distance,
@@ -315,6 +318,42 @@ proptest! {
         for threads in [2usize, 8] {
             let parallel = knn_search_streamed_parallel(&qs, &refs, &cfg, tile, threads);
             prop_assert_eq!(&parallel, &one, "threads {}", threads);
+        }
+    }
+}
+
+/// The streamed loop fills query rows in pairs; an odd last query and
+/// one-query blocks take the single-row fill. At query counts that
+/// produce each case (1: a one-query block; 31 and 65: an odd last
+/// query; 33: a full block then a one-query block), every tile length
+/// and thread count must return `knn_search`'s neighbors byte for byte.
+#[test]
+fn paired_streamed_fill_is_byte_identical_to_knn_search() {
+    let bits = |v: &[Vec<kselect::Neighbor>]| -> Vec<Vec<(u32, u32)>> {
+        v.iter()
+            .map(|ns| ns.iter().map(|n| (n.dist.to_bits(), n.id)).collect())
+            .collect()
+    };
+    let refs = PointSet::uniform(150, 13, 41);
+    for q in [1usize, 31, 33, 65] {
+        let queries = PointSet::uniform(q, 13, 40 + q as u64);
+        for cfg in [
+            SelectConfig::plain(QueueKind::Insertion, 5),
+            SelectConfig::optimized(QueueKind::Merge, 8),
+        ] {
+            let full = bits(&knn_search(&queries, &refs, &cfg));
+            for tile in [1usize, 3, 7, 100] {
+                for threads in [1usize, 2] {
+                    let streamed =
+                        knn_search_streamed_parallel(&queries, &refs, &cfg, tile, threads);
+                    assert_eq!(
+                        bits(&streamed),
+                        full,
+                        "q {q} k {} tile {tile} threads {threads}",
+                        cfg.k
+                    );
+                }
+            }
         }
     }
 }
