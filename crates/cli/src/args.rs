@@ -4,11 +4,11 @@
 //! `--name value` pairs plus the `--json` / `--help` switches. Each
 //! subcommand's args struct drains the flags it knows through typed
 //! getters, which reject out-of-range values (a zero count, a
-//! non-positive rate) where they enter. `Flags::finish` then rejects
-//! whatever is left — a typo, or a flag of another subcommand — and
-//! suggests the closest name that subcommand asked for. A flag given
-//! twice is an error too, so no input is silently dropped; `main` exits
-//! 2 on every parse error.
+//! non-positive rate, a fault rate outside [0, 1]) where they enter.
+//! `Flags::finish` then rejects whatever is left — a typo, or a flag of
+//! another subcommand — and suggests the closest name that subcommand
+//! asked for. A flag given twice is an error too, so no input is
+//! silently dropped; `main` exits 2 on every parse error.
 
 use std::path::PathBuf;
 use std::str::FromStr;
@@ -118,6 +118,12 @@ impl Flags {
             }
             v => Ok(v),
         }
+    }
+
+    /// An optional fault rate in [0, 1] (see [`check_rate`]).
+    fn rate(&mut self, name: &'static str, default: f64) -> Result<f64, String> {
+        let v = self.or(name, default)?;
+        check_rate(&format!("--{name}"), v)
     }
 
     /// Reject every flag, switch or positional the subcommand did not
@@ -244,6 +250,17 @@ pub struct FaultPlanArgs {
     pub pcie_corrupt: f64,
 }
 
+/// A fault rate is a probability: NaN, a negative value or one past 1
+/// is an error named after `what`, not a rate that means "never" or
+/// "always".
+fn check_rate(what: &str, rate: f64) -> Result<f64, String> {
+    if (0.0..=1.0).contains(&rate) {
+        Ok(rate)
+    } else {
+        Err(format!("{what} rate must be in [0, 1], got {rate}"))
+    }
+}
+
 /// Parse a `--fault-plan` spec: comma-separated `key=rate` pairs.
 pub fn parse_fault_plan(spec: &str) -> Result<FaultPlanArgs, String> {
     let mut plan = FaultPlanArgs::default();
@@ -254,11 +271,7 @@ pub fn parse_fault_plan(spec: &str) -> Result<FaultPlanArgs, String> {
         let rate: f64 = val
             .parse()
             .map_err(|_| format!("--fault-plan {key} rate `{val}` is not a number"))?;
-        if !(0.0..=1.0).contains(&rate) {
-            return Err(format!(
-                "--fault-plan {key} rate must be in [0, 1], got {rate}"
-            ));
-        }
+        let rate = check_rate(&format!("--fault-plan {key}"), rate)?;
         match key {
             "aborts" => plan.aborts = rate,
             "hangs" => plan.hangs = rate,
@@ -416,11 +429,11 @@ impl FaultArgs {
             queue: take_queue(f)?,
             seeds: f.count("seeds", Some(4))?,
             seed: f.or("seed", 1)?,
-            aborts: f.or("aborts", 0.2)?,
-            hangs: f.or("hangs", 0.1)?,
-            bitflips: f.or("bitflips", 1e-4)?,
-            pcie_stall: f.or("pcie-stall", 0.1)?,
-            pcie_corrupt: f.or("pcie-corrupt", 0.05)?,
+            aborts: f.rate("aborts", 0.2)?,
+            hangs: f.rate("hangs", 0.1)?,
+            bitflips: f.rate("bitflips", 1e-4)?,
+            pcie_stall: f.rate("pcie-stall", 0.1)?,
+            pcie_corrupt: f.rate("pcie-corrupt", 0.05)?,
             attempts: f.count("attempts", Some(6))?,
             journal: JournalArgs::take(f)?,
         };
@@ -587,9 +600,14 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             if !f.positionals.is_empty() {
                 return Err("report takes at most one JOURNAL.jsonl path".to_string());
             }
+            let top = f.opt("top")?;
+            if journal.is_none() && top.is_some() {
+                // The top list ranks journal records; a timeline has none.
+                return Err("report --top needs a JOURNAL.jsonl path".to_string());
+            }
             Command::Report {
                 journal: journal.map(PathBuf::from),
-                top: f.or("top", 5)?,
+                top: top.unwrap_or(5),
                 timeline,
             }
         }
@@ -909,6 +927,13 @@ mod tests {
         }
         assert!(parse(&v(&["faults", "--k", "16"])).is_err());
         assert!(parse(&v(&["faults", "--n", "10", "--k", "2", "--aborts", "lots"])).is_err());
+        // a rate is a probability: NaN, negative and past-1 values fail
+        let e = parse(&v(&["faults", "--n", "10", "--k", "2", "--hangs", "1.5"])).unwrap_err();
+        assert_eq!(e, "--hangs rate must be in [0, 1], got 1.5");
+        assert_eq!(
+            parse_fault_plan("hangs=1.5").unwrap_err(),
+            "--fault-plan hangs rate must be in [0, 1], got 1.5"
+        );
     }
 
     #[test]
@@ -1242,6 +1267,9 @@ mod tests {
                 timeline: Some(PathBuf::from("t.json")),
             }
         );
+        // --top ranks journal records: meaningless with a timeline alone
+        let e = parse(&v(&["report", "--timeline", "t.json", "--top", "3"])).unwrap_err();
+        assert_eq!(e, "report --top needs a JOURNAL.jsonl path");
     }
 
     #[test]

@@ -45,6 +45,58 @@ fn padded_k_past_n_is_a_typed_error() {
     );
 }
 
+/// A fault rate outside [0, 1] used to act as "never" (negative, NaN)
+/// or "always" (past 1); every rate flag of `faults` now rejects it
+/// with exit 2 before any campaign runs.
+#[test]
+fn faults_rates_outside_the_unit_interval_exit_2() {
+    for flag in ["aborts", "hangs", "bitflips", "pcie-stall", "pcie-corrupt"] {
+        for bad in ["NaN", "-0.1", "1.5"] {
+            let out = run_in(
+                None,
+                &[
+                    "faults",
+                    "--n",
+                    "512",
+                    "--k",
+                    "8",
+                    &format!("--{flag}"),
+                    bad,
+                ],
+            );
+            assert_eq!(out.status.code(), Some(2), "--{flag} {bad}");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                stderr.contains(&format!("--{flag} rate must be in [0, 1], got")),
+                "--{flag} {bad}: {stderr}"
+            );
+        }
+    }
+}
+
+/// `report --top` ranks journal records; with only `--timeline` it used
+/// to be accepted and ignored. It is a parse error now, reported before
+/// the timeline file is read.
+#[test]
+fn report_top_without_a_journal_exits_2() {
+    let out = run_in(
+        None,
+        &[
+            "report",
+            "--timeline",
+            "missing-timeline.json",
+            "--top",
+            "3",
+        ],
+    );
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("report --top needs a JOURNAL.jsonl path"),
+        "{stderr}"
+    );
+}
+
 /// Inputs that used to be silently ignored, misparsed or panicked, and
 /// the code each must exit with now: 2 for a rejected invocation, 1 for
 /// a typed `invalid-k` at run time.

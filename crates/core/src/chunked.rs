@@ -21,10 +21,10 @@ use crate::select::{SelectConfig, Selector};
 use crate::types::{cmp_neighbors, Neighbor};
 
 /// Incremental top-k merge over per-chunk selections — the host-side
-/// "global merge" state of the divide-and-merge literature, factored out
-/// so streaming pipelines (which see one chunk at a time and never hold
-/// the full list) share the exact merge semantics of
-/// [`select_k_chunked`].
+/// "global merge" state of the divide-and-merge literature, which
+/// [`select_k_chunked`] runs. (The native streamed k-NN search keeps
+/// its running top-k in a [`crate::TopK`] instead: it scans each chunk
+/// against the bound itself rather than merging a chunk's picks.)
 ///
 /// Feed it each chunk's top-k with the chunk's global id offset; it keeps
 /// at most `k` candidates, merged in place, so memory stays O(k)

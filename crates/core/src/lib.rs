@@ -24,6 +24,11 @@
 //!   [`simt`] simulator, reproducing the paper's measurements (branch
 //!   divergence, coalescing, intra-warp communication).
 //!
+//! A streaming caller that sees each list one tile at a time keeps its
+//! running k best in a [`TopK`] ([`topk`]): Buffered Search done
+//! natively, where a threshold scan fills one candidate buffer and the
+//! picks are sorted once at the end.
+//!
 //! ## Quick start
 //!
 //! ```
@@ -45,6 +50,7 @@ pub mod gpu;
 pub mod hierarchical;
 pub mod queues;
 pub mod select;
+pub mod topk;
 pub mod types;
 
 pub use buffered::{buffered_select_into, BufferConfig};
@@ -53,4 +59,5 @@ pub use error::KnnError;
 pub use hierarchical::{hierarchical_select, Hierarchy, HpConfig};
 pub use queues::{HeapQueue, InsertionQueue, KQueue, MergeQueue, UpdateCounter};
 pub use select::{select_k, SelectConfig, Selector};
+pub use topk::{Candidates, TopK};
 pub use types::{Neighbor, QueueKind, INF, NO_ID};

@@ -17,7 +17,9 @@
 //! cache-resident while every query row in the slab streams over it —
 //! the reference set is read once per slab instead of once per
 //! [`QUERY_BLOCK`]. (The streamed pipeline still schedules work in
-//! `QUERY_BLOCK` units; only this materialising kernel is tile-outer.) The inner reduction is [`crate::distance::dot`] —
+//! `QUERY_BLOCK` units; only this materialising kernel is tile-outer.)
+//!
+//! The inner reduction is [`crate::distance::dot`] —
 //! [`crate::distance::LANES`] independent accumulators over
 //! `chunks_exact`, which autovectorizes — and is *the same function* the
 //! scalar [`crate::squared_distance`] uses, so blocked output equals the
@@ -46,14 +48,18 @@ pub const REF_TILE: usize = 256;
 /// Default reference-tile length (elements per query per chunk) of the
 /// streamed search path. Each worker's scratch is two rows of
 /// `DEFAULT_STREAM_TILE` floats — one per query of the pair the
-/// distance kernel fills at once — so 2048 keeps it at 16 KiB while
-/// still amortising the per-tile selection merge for typical `k ≤ 512`.
+/// distance kernel fills at once — so 2048 keeps it at 16 KiB. Besides
+/// the scan of its row, every tile costs each query a fixed O(k): its
+/// k held keys are reloaded into the worker's candidate buffer and cut
+/// back to k at the tile's end. A 2048-value tile amortises that for
+/// typical `k ≤ 512`.
 ///
 /// Chosen empirically: `wallclock --sweep-tiles` (Q=1024, N=2^14,
 /// dim=128, k=32) measures streamed QPS across {1024, 2048, 4096,
 /// 8192}, and 2048 wins — ~21% over 4096 on the reference machine (see
 /// `tile_sweep` in `BENCH_native.json`); larger tiles thrash L2, while
-/// 1024 pays one extra merge round per query.
+/// 1024 pays one extra reload and cut per query. That sweep predates
+/// the threshold top-k, which replaced a per-tile selection and merge.
 pub const DEFAULT_STREAM_TILE: usize = 2048;
 
 /// A dense Q×N matrix in one flat row-major allocation:

@@ -4,8 +4,8 @@
 //! This is the bridge between the pipeline's [`PhaseObserver`] and
 //! [`TimelineHooks`] and the `trace` crate's sinks: every phase gets a
 //! wall-clock latency histogram in a [`MetricsRegistry`], the streamed
-//! path reports its scratch high-water mark and
-//! [`kselect::chunked::StreamMerger`] push/reject totals, a
+//! path reports its scratch high-water mark and the push/reject totals
+//! of its per-query [`kselect::TopK`]s, a
 //! [`Journal`] gets one [`QueryRecord`] per query, and a
 //! [`TimelineRecorder`] gets per-worker tracks. Only this module reads
 //! the host clock on knn's behalf — the default-feature pipeline
@@ -28,10 +28,10 @@
 //! | `knn.query.latency_ns` | histogram | one query end to end (row fill + select) |
 //! | `knn.row.fill_ns` / `knn.row.select_ns` | histogram | phases of the above |
 //! | `knn.tile.fill_ns` | histogram | distance fill of one query pair (or an odd last query) × tile on the streamed path |
-//! | `knn.tile.select_ns` | histogram | per query × tile selection of the streamed path |
-//! | `knn.tile.merge_ns` | histogram | stream merge of one query's tile survivors (per query × tile, at every thread count) |
+//! | `knn.tile.select_ns` | histogram | per query × tile threshold scan of the streamed path (with any mid-tile cuts) |
+//! | `knn.tile.merge_ns` | histogram | cut of one query's buffered candidates back to k, plus the final sort on its last tile (per query × tile, at every thread count) |
 //! | `knn.scratch.peak_bytes` | peak | distance-scratch high-water mark: `workers × rows × min(tile, N) × 4` streamed (`rows` = 2, or 1 when a block holds one query), `N × 4` per worker on the row path |
-//! | `knn.stream.merge_push` / `knn.stream.merge_reject` | counter | stream-merge candidate totals |
+//! | `knn.stream.merge_push` / `knn.stream.merge_reject` | counter | candidates appended below the running k-th distance / dropped by the cuts to k |
 //! | `knn.queries` | counter | queries answered by instrumented searches |
 
 use std::ops::Range;
@@ -66,9 +66,10 @@ pub fn phase_metric(phase: Phase) -> &'static str {
 
 /// Peak distance-scratch bytes, both search paths.
 pub const SCRATCH_PEAK_BYTES: &str = "knn.scratch.peak_bytes";
-/// Candidates pushed into the per-query stream mergers.
+/// Candidates appended to the per-query top-k buffers: the values
+/// below each query's running k-th distance.
 pub const MERGE_PUSH: &str = "knn.stream.merge_push";
-/// Candidates the running top-k evicted.
+/// Candidates the cuts back to k dropped.
 pub const MERGE_REJECT: &str = "knn.stream.merge_reject";
 /// Queries answered by instrumented searches.
 pub const QUERIES: &str = "knn.queries";
@@ -498,28 +499,44 @@ mod tests {
         }
     }
 
-    /// Survivors each query pushes into its merger, recounted from its
-    /// full distance row: every tile's selection is seeded with the k-th
-    /// smallest distance of the tiles before it (+∞ until they hold k),
-    /// so a tile pushes min(k, its values below that distance).
-    fn seeded_pushes(queries: &PointSet, refs: &PointSet, k: usize, tile: usize) -> Vec<u64> {
+    /// Values each query appends to its top-k buffer, recounted from
+    /// its full distance row under the buffer's rules: per tile, the
+    /// held values are reloaded, each `STRIP`-value strip with a value
+    /// below the running bound appends exactly those values, a buffer
+    /// past `2k` values is first cut to the k smallest (tightening the
+    /// bound to the k-th), and the tile ends with a cut to k.
+    fn buffered_pushes(queries: &PointSet, refs: &PointSet, k: usize, tile: usize) -> Vec<u64> {
+        use kselect::topk::STRIP;
         let norms = crate::block::norms(refs);
         let mut row = vec![0.0f32; refs.len()];
+        let cut = |buf: &mut Vec<f32>| {
+            buf.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            buf.truncate(k);
+            buf[k - 1]
+        };
         (0..queries.len())
             .map(|qi| {
                 let qp = queries.point(qi);
                 let norm_q = crate::distance::squared_norm(qp);
                 crate::block::fill_row_range(qp, norm_q, refs, &norms, 0, &mut row);
-                (0..row.len())
-                    .step_by(tile)
-                    .map(|r0| {
-                        let mut seen = row[..r0].to_vec();
-                        seen.sort_by(|a, b| a.partial_cmp(b).unwrap());
-                        let bound = seen.get(k - 1).copied().unwrap_or(f32::INFINITY);
-                        let end = (r0 + tile).min(row.len());
-                        row[r0..end].iter().filter(|&&d| d < bound).count().min(k) as u64
-                    })
-                    .sum()
+                let (mut held, mut bound, mut pushed) = (Vec::new(), f32::INFINITY, 0);
+                for piece in row.chunks(tile) {
+                    for strip in piece.chunks(STRIP) {
+                        if !strip.iter().any(|&d| d < bound) {
+                            continue;
+                        }
+                        if held.len() > 2 * k {
+                            bound = cut(&mut held);
+                        }
+                        let below = strip.iter().filter(|&&d| d < bound);
+                        pushed += below.clone().count() as u64;
+                        held.extend(below);
+                    }
+                    if held.len() >= k {
+                        bound = cut(&mut held);
+                    }
+                }
+                pushed
             })
             .collect()
     }
@@ -577,10 +594,14 @@ mod tests {
         assert_eq!(hist(&streamed_reg, "knn.tile.select_ns"), 96);
         assert_eq!(hist(&streamed_reg, "knn.tile.merge_ns"), 96);
         assert_eq!(streamed_reg.counter(QUERIES), 24);
-        // every tile yields its seeded survivors (4 tiles × 16 × 24
-        // before the first tile's k-th distance seeded the rest)
-        let pushes: u64 = seeded_pushes(&queries, &refs, 16, 100).iter().sum();
-        assert!(pushes < 4 * 16 * 24, "seeding prunes: {pushes}");
+        // each query appends its first strip whole (the bound is +∞
+        // until k values are held), and the bound prunes the rest of its
+        // 400 values
+        let pushes: u64 = buffered_pushes(&queries, &refs, 16, 100).iter().sum();
+        assert!(
+            (24 * 64..24 * 400).contains(&pushes),
+            "the bound prunes: {pushes}"
+        );
         assert_eq!(streamed_reg.counter(MERGE_PUSH), pushes);
         assert_eq!(
             streamed_reg.counter(MERGE_PUSH) - streamed_reg.counter(MERGE_REJECT),
@@ -650,11 +671,11 @@ mod tests {
         assert_eq!(out, streamed_plain);
         let snap = journal.snapshot();
         assert_eq!(snap.len(), 16);
-        let pushes = seeded_pushes(&queries, &refs, 8, 100);
+        let pushes = buffered_pushes(&queries, &refs, 8, 100);
         for r in &snap {
             assert_eq!(r.tile, 100);
             assert_eq!(r.blocks, 3, "300 refs / tile 100");
-            // every tile contributes its seeded survivors
+            // the values appended below the running bound
             assert_eq!(r.merge_push, pushes[r.query as usize]);
             assert_eq!(r.merge_push - r.merge_reject, 8, "kept = k");
             assert_eq!(
@@ -673,7 +694,7 @@ mod tests {
         let refs = PointSet::uniform(400, 12, 138);
         let cfg = SelectConfig::plain(QueueKind::Merge, 16);
         let one = knn_search_streamed_parallel(&queries, &refs, &cfg, 100, 1);
-        let pushes: u64 = seeded_pushes(&queries, &refs, 16, 100).iter().sum();
+        let pushes: u64 = buffered_pushes(&queries, &refs, 16, 100).iter().sum();
         for threads in [1usize, 2, 8] {
             let reg = MetricsRegistry::new();
             let out = knn_search_streamed_instrumented(
@@ -715,7 +736,7 @@ mod tests {
         let refs = PointSet::uniform(300, 10, 140);
         let cfg = SelectConfig::plain(QueueKind::Merge, 8);
         let one = knn_search_streamed_parallel(&queries, &refs, &cfg, 100, 1);
-        let pushes = seeded_pushes(&queries, &refs, 8, 100);
+        let pushes = buffered_pushes(&queries, &refs, 8, 100);
         for threads in [1usize, 2, 8] {
             let journal = EventJournal::new(JournalConfig::default());
             let ins = Instruments {
@@ -730,8 +751,8 @@ mod tests {
             for r in &snap {
                 assert_eq!(r.tile, 100);
                 assert_eq!(r.blocks, 3, "300 refs / tile 100");
-                // Deterministic per-query merge invariants: every tile
-                // contributes its seeded survivors and kept = k.
+                // Deterministic per-query merge invariants: the values
+                // appended below the running bound, and kept = k.
                 assert_eq!(r.merge_push, pushes[r.query as usize], "threads {threads}");
                 assert_eq!(r.merge_push - r.merge_reject, 8);
                 assert_eq!(r.status, "ok");

@@ -6,15 +6,17 @@
 //! * [`knn_search_streamed_parallel`] — the tile-streamed native
 //!   pipeline: workers claim query *blocks* from a shared cursor and,
 //!   per reference tile, fill the distance rows of a query pair into
-//!   two reused `tile`-length scratch rows, k-select each with the
-//!   configured variant (seeded with the k-th distance the earlier
-//!   tiles already hold) and merge the survivors into that query's
-//!   [`kselect::chunked::StreamMerger`]. The full Q×N matrix is never
+//!   two reused `tile`-length scratch rows, then scan each row into
+//!   that query's [`kselect::TopK`]: the values below the query's
+//!   running k-th distance go into one per-worker candidate buffer,
+//!   which is cut back to k whenever it fills. Each query's k best are
+//!   sorted once, after its last tile. The full Q×N matrix is never
 //!   materialised, so peak distance memory is O(workers·tile) instead
-//!   of O(Q·N). Distances are bit-for-bit those of [`knn_search`], the
-//!   neighbors the same (see the function docs for the tied-id
-//!   caveat), and both are identical at any thread count. One worker
-//!   runs inline on the caller's thread.
+//!   of O(Q·N). Distances are bit-for-bit those of [`knn_search`], and
+//!   the neighbors are the k smallest by `(dist, id)` — a full sort of
+//!   the row, the lowest id winning a tie — identical at any tile size
+//!   and thread count, whatever the [`SelectConfig`] beyond its `k`.
+//!   One worker runs inline on the caller's thread.
 //!   [`knn_search_streamed_parallel_timelined`] is the same loop with
 //!   observer, cancellation and timeline hooks; `knn::metered` builds
 //!   every instrumented streamed search on it.
@@ -33,13 +35,12 @@
 
 use std::ops::Range;
 
-use kselect::chunked::StreamMerger;
 use kselect::gpu::{
     gpu_select_k, gpu_select_k_resilient, gpu_select_k_resilient_gated, DistanceMatrix,
     GpuResilience, GpuResilientSelect, KernelCounters, SearchReport,
 };
 use kselect::types::Neighbor;
-use kselect::{KnnError, SelectConfig, Selector};
+use kselect::{Candidates, KnnError, SelectConfig, Selector, TopK};
 use rayon::prelude::*;
 use simt::{Metrics, TimingModel};
 use trace::{NullTimeline, TimelineHooks};
@@ -62,12 +63,14 @@ pub enum Phase {
     /// Distance fill of one query pair (or an odd last query) × one
     /// reference tile in [`knn_search_streamed_parallel_timelined`].
     TileFill,
-    /// Per-tile k-selection of one query in
-    /// [`knn_search_streamed_parallel_timelined`].
+    /// Threshold scan of one query × one tile row into the worker's
+    /// candidate buffer in [`knn_search_streamed_parallel_timelined`],
+    /// including the cuts a full buffer triggers mid-tile.
     TileSelect,
-    /// Host-side [`StreamMerger`] merge of one query's tile survivors
-    /// in [`knn_search_streamed_parallel_timelined`] — one observation
-    /// per query × tile at every thread count.
+    /// Cut of one query's buffered candidates back to its k best in
+    /// [`knn_search_streamed_parallel_timelined`], plus, on its last
+    /// tile, the sort of those k — one observation per query × tile at
+    /// every thread count.
     TileMerge,
 }
 
@@ -110,8 +113,9 @@ pub trait PhaseObserver: Sync {
     /// Peak bytes of the distance scratch a pipeline holds.
     #[inline]
     fn scratch_bytes(&self, _bytes: u64) {}
-    /// Final stream-merge totals: candidates pushed into the per-query
-    /// mergers and candidates their running top-k evicted.
+    /// Final stream-merge totals: candidates the per-query top-k
+    /// buffers took in (values below the running bound) and candidates
+    /// their cuts dropped.
     #[inline]
     fn merger_stats(&self, _pushed: u64, _rejected: u64) {}
     /// One query's stream-merge totals (the per-query refinement of
@@ -278,12 +282,15 @@ pub fn resolve_threads(threads: usize) -> usize {
 /// [`knn_search_streamed_parallel_timelined`] for the schedule.
 ///
 /// Use [`block::DEFAULT_STREAM_TILE`] for `tile` when in doubt. The
-/// final top-k distances are identical to selecting over the full row,
-/// and with the insertion queue the ids are too (first-seen == lowest
-/// id on both paths). The heap and merge queues evict id-arbitrarily
-/// among *equal* distances, so under exact ties at the k-th value the
-/// two paths may keep different (equally correct) tied ids — a
-/// property of those queues, not of the streaming.
+/// result is the `cfg.k` smallest distances of each query's row,
+/// ordered by `(dist, id)`: under exact ties at the k-th distance the
+/// lowest ids are kept. Only `cfg.k` is read; every queue kind, with or
+/// without buffering and Hierarchical Partition, returns the same
+/// neighbors. [`knn_search`] selects through the configured variant, so
+/// under such ties its Heap and Merge queues and its Hierarchical
+/// Partition may keep other (equally near) ids.
+/// `+∞` distances are never returned: with fewer than k finite
+/// distances a query gets fewer than k neighbors.
 ///
 /// # Panics
 /// When `tile` is zero, `cfg.k` exceeds the number of references, or the
@@ -317,21 +324,26 @@ pub fn knn_search_streamed_parallel(
 /// ascending order. Per tile, the block's queries are walked in pairs:
 /// one kernel call fills both distance rows into the worker's two
 /// `tile`-length scratch rows ([`Phase::TileFill`], one span shared by
-/// the pair), then each query in turn is k-selected by the worker's one
-/// reused [`Selector`] ([`Phase::TileSelect`]) and merged into its
-/// [`StreamMerger`] ([`Phase::TileMerge`]) before the next pair reuses
-/// the rows. An odd last query is filled alone. Every distance is
-/// bit-equal to the single-row fill's, so pairing changes no neighbor.
-/// The selection only considers values below the merger's
-/// current k-th distance ([`StreamMerger::bound`]): a later tile's value
-/// at or above it has a larger id and would be cut by the merge anyway,
-/// so the neighbors are those of the unseeded selection. Each query's
-/// survivors reach its merger in ascending tile order at any thread
-/// count, so the neighbors are identical at any thread count; only
-/// wall-clock interleaving varies. Peak distance scratch is
+/// the pair), then each query in turn is pushed into its [`TopK`]
+/// ([`Phase::TileSelect`]) and settled ([`Phase::TileMerge`]) before
+/// the next pair reuses the rows. An odd last query is filled alone.
+/// Every distance is bit-equal to the single-row fill's, so pairing
+/// changes no neighbor.
+///
+/// The push is a branch-free scan of the row: every value below the
+/// query's running k-th distance is appended to the worker's one
+/// [`Candidates`] buffer of `2k + 64` keys, and a full buffer is cut
+/// to the k smallest mid-tile, which tightens the bound. The settle
+/// cuts to k and keeps those keys as the query's state; on the query's
+/// last tile it also sorts them, the one sort of the query's picks.
+/// A value at or above the bound has a larger id than the k-th key,
+/// so it loses the `(dist, id)` order and skipping it is exact. Each
+/// query's tiles are pushed in ascending order at any thread count, so
+/// the neighbors are identical at any thread count; only wall-clock
+/// interleaving varies. Peak distance scratch is
 /// `workers × rows × min(tile, N)` floats, where `rows` is 2, or 1 when
-/// a block holds a single query. One worker runs inline on the caller's
-/// thread.
+/// a block holds a single query. One worker runs inline on the
+/// caller's thread.
 ///
 /// `obs` receives the per-phase hooks from whichever worker owns the
 /// query's block; the aggregate merge totals are folded once after the
@@ -402,7 +414,7 @@ pub fn knn_search_streamed_parallel_timelined<
         tl.worker_started(worker);
         tl.scratch_reserved(worker, scratch_bytes);
         let mut scratch = vec![0.0f32; rows * tile];
-        let mut selector = Selector::new(*cfg);
+        let mut cand = Candidates::new(cfg.k);
         'work: loop {
             if cancel_at.load(Ordering::Relaxed) != usize::MAX {
                 break 'work;
@@ -414,8 +426,8 @@ pub fn knn_search_streamed_parallel_timelined<
             tl.block_claimed(worker, b);
             let q0 = b * block_len;
             let q1 = (q0 + block_len).min(q);
-            let mut mergers: Vec<StreamMerger> =
-                (q0..q1).map(|_| StreamMerger::new(cfg.k)).collect();
+            let mut tops: Vec<TopK> = (q0..q1).map(|_| TopK::new(cfg.k)).collect();
+            let mut out: Vec<Vec<Neighbor>> = vec![Vec::new(); q1 - q0];
             for (tiles_done, r0) in (0..n).step_by(tile).enumerate() {
                 if token.is_cancelled(tiles_done) {
                     cancel_at.fetch_min(tiles_done, Ordering::Relaxed);
@@ -429,8 +441,13 @@ pub fn knn_search_streamed_parallel_timelined<
                     break 'work;
                 }
                 let len = tile.min(n - r0);
-                for (pair, ms) in (q0..q1).step_by(2).zip(mergers.chunks_mut(2)) {
-                    let qs = pair..pair + ms.len();
+                let last = r0 + len == n;
+                for ((pair, ts), outs) in (q0..q1)
+                    .step_by(2)
+                    .zip(tops.chunks_mut(2))
+                    .zip(out.chunks_mut(2))
+                {
+                    let qs = pair..pair + ts.len();
                     let (row0, row1) = scratch.split_at_mut(tile);
                     // `row1` is empty when blocks hold one query.
                     let (row0, row1) = (&mut row0[..len], row1.get_mut(..len).unwrap_or_default());
@@ -455,21 +472,23 @@ pub fn knn_search_streamed_parallel_timelined<
                             )
                         }
                     });
-                    for ((qi, merger), row) in qs.zip(ms).zip([&*row0, &*row1]) {
-                        // Exact: a value ≥ the merger's k-th distance
-                        // loses to it, since this tile's ids are all
-                        // larger.
-                        let bound = merger.bound();
-                        let topk =
-                            obs.timed_q(Phase::TileSelect, qi, || selector.select(row, bound));
-                        obs.timed(Phase::TileMerge, || merger.push_chunk(topk, r0 as u32));
+                    for (((qi, top), o), row) in qs.zip(ts).zip(outs).zip([&*row0, &*row1]) {
+                        obs.timed_q(Phase::TileSelect, qi, || {
+                            top.push(&mut cand, row, r0 as u32)
+                        });
+                        obs.timed(Phase::TileMerge, || {
+                            top.settle(&mut cand);
+                            if last {
+                                *o = top.finish();
+                            }
+                        });
                     }
                 }
                 tl.tile_walked(worker, b, tiles_done);
             }
             let (mut pushed, mut rejected) = (0u64, 0u64);
-            for (qi, m) in (q0..q1).zip(&mergers) {
-                let s = m.stats();
+            for (qi, t) in (q0..q1).zip(&tops) {
+                let s = t.stats();
                 obs.query_merger_stats(qi, s.pushed, s.rejected);
                 obs.query_worker(qi, worker);
                 pushed += s.pushed;
@@ -477,7 +496,6 @@ pub fn knn_search_streamed_parallel_timelined<
             }
             pushed_total.fetch_add(pushed, Ordering::Relaxed);
             rejected_total.fetch_add(rejected, Ordering::Relaxed);
-            let out: Vec<Vec<Neighbor>> = mergers.into_iter().map(StreamMerger::finish).collect();
             done.lock()
                 .unwrap_or_else(|e| e.into_inner())
                 .push((b, out));
@@ -938,9 +956,9 @@ mod tests {
 
     #[test]
     fn optimized_streamed_matches_materialized_at_any_tile_and_thread_count() {
-        // The optimized config selects each tile through HP seeded with
-        // the merger's running k-th distance; the neighbors must still be
-        // byte-identical to one unseeded selection over the whole row.
+        // The streamed top-k only takes values below its running k-th
+        // distance; the neighbors must still be byte-identical to one
+        // unbounded selection over the whole row.
         // 40 queries = 2 query blocks.
         let queries = PointSet::uniform(40, 12, 226);
         let refs = PointSet::uniform(1000, 12, 227);
@@ -961,8 +979,9 @@ mod tests {
     fn optimized_streamed_is_exact_under_ties_at_the_kth_value() {
         // 340 distinct points, each three times: every distance comes in
         // three tied copies spread over different tiles, and no k below
-        // is a multiple of 3, so the k-th value is tied. Any of the tied
-        // ids may be kept; distances may not move.
+        // is a multiple of 3, so the k-th value is tied. The distances
+        // are those of the materialized search, and of the copies tied
+        // at the k-th value the lowest ids are kept.
         let base = PointSet::uniform(340, 6, 228);
         let flat: Vec<f32> = (0..1020)
             .flat_map(|i| base.point(i % 340).to_vec())
@@ -987,13 +1006,16 @@ mod tests {
                         let qp = queries.point(qi);
                         let norm_q = crate::distance::squared_norm(qp);
                         block::fill_row_range(qp, norm_q, &refs, &ref_norms, 0, &mut row);
+                        // The lowest ids win the tie at the k-th value.
+                        let mut order: Vec<u32> = (0..row.len() as u32).collect();
+                        order.sort_by(|&a, &b| {
+                            row[a as usize].total_cmp(&row[b as usize]).then(a.cmp(&b))
+                        });
+                        let ids: Vec<u32> = got.iter().map(|n| n.id).collect();
+                        assert_eq!(ids, order[..k], "{at}");
                         for n in got {
                             assert_eq!(row[n.id as usize].to_bits(), n.dist.to_bits(), "{at}");
                         }
-                        let mut ids: Vec<u32> = got.iter().map(|n| n.id).collect();
-                        ids.sort_unstable();
-                        ids.dedup();
-                        assert_eq!(ids.len(), k, "{at}: duplicate ids");
                     }
                 }
             }

@@ -8,11 +8,13 @@
 //!    kernel changes the iteration order over pairs, never the
 //!    accumulation order within a pair. Dimensions and sizes straddle
 //!    the LANES / QUERY_BLOCK / REF_TILE edges on purpose.
-//! 2. The streamed loop (`knn_search_streamed_parallel`, here on one
-//!    thread) must return exactly the same neighbors as the
-//!    materialized `knn_search` for arbitrary Q/N/k/tile, including
-//!    tiles smaller than k, tiles larger than N, duplicated distances
-//!    (tie-breaking), and non-finite coordinates (overflow to +inf).
+//! 2. The streamed loop (`knn_search_streamed_parallel`) must return
+//!    exactly the `(dist, id)` sort of each full distance row, cut at
+//!    k, for every queue kind at 1, 2 and 4 threads and arbitrary
+//!    Q/N/k/tile, including tiles smaller than k, tiles larger than N
+//!    and duplicated distances (tie-breaking); and the same neighbors
+//!    as the materialized `knn_search` under non-finite coordinates
+//!    (overflow to +inf).
 //! 3. The runtime-dispatched SIMD row kernel (`simd::fill_rows`) must
 //!    reproduce both the portable 8-accumulator kernel and the scalar
 //!    reference bit-for-bit at the edge dimensions {1, 7, 8, 9, 127,
@@ -48,6 +50,31 @@ fn points(count: usize, dim: usize) -> impl Strategy<Value = PointSet> {
     })
 }
 
+/// Neighbors as `(dist bits, id)` pairs, so `-0.0` and `0.0` differ.
+fn bits(v: &[Vec<kselect::Neighbor>]) -> Vec<Vec<(u32, u32)>> {
+    v.iter()
+        .map(|ns| ns.iter().map(|n| (n.dist.to_bits(), n.id)).collect())
+        .collect()
+}
+
+/// The exact k-NN of every query: its full distance row sorted by
+/// `(dist, id)`, `+∞` dropped, cut at k.
+fn sort_oracle(queries: &PointSet, refs: &PointSet, k: usize) -> Vec<Vec<(u32, u32)>> {
+    let m = block::squared_distances(queries, refs);
+    m.rows()
+        .map(|row| {
+            let mut v: Vec<(f32, u32)> = row
+                .iter()
+                .copied()
+                .zip(0u32..)
+                .filter(|(d, _)| d.is_finite())
+                .collect();
+            v.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            v.iter().take(k).map(|&(d, i)| (d.to_bits(), i)).collect()
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -79,9 +106,13 @@ proptest! {
         }
     }
 
-    /// Tile-streamed search == materialized search, exactly (distances
-    /// AND ids), for arbitrary tile sizes including tile < k and
-    /// tile > N, with heavily duplicated coordinates to force ties.
+    /// Tile-streamed search == the `(dist, id)` sort of each query's
+    /// full distance row, cut at k, exactly (distances AND ids), for
+    /// arbitrary tile sizes including tile < k and tile > N, with
+    /// heavily duplicated coordinates to force ties. The streamed
+    /// top-k reads only `k` from the config, so every queue kind, plain
+    /// and optimized, keeps the lowest ids among equal distances, at
+    /// every thread count.
     #[test]
     fn streamed_matches_materialized(
         qs in points(7, 5),
@@ -92,7 +123,7 @@ proptest! {
     ) {
         let refs = {
             // Quantize coordinates so many reference points collide,
-            // exercising the (dist, id) tie-break in the merge path.
+            // exercising the (dist, id) tie-break.
             let base = PointSet::uniform(n, 5, 99);
             let flat: Vec<f32> = base
                 .as_flat()
@@ -102,31 +133,15 @@ proptest! {
             PointSet::from_flat(flat, 5)
         };
         let k = k_raw.min(n);
-        // Tie semantics: the insertion queue keeps the first-seen
-        // (lowest-id) candidate among equals at the cut, and the
-        // streamed merge resolves ties by (dist, id) — so the two paths
-        // agree on ids exactly. The heap and merge queues evict
-        // id-arbitrarily among equal distances (whichever tied element
-        // reached the root / survived the bitonic repair), so for them
-        // the invariant both paths must share is the distance sequence:
-        // the multiset of the k smallest distances is unique.
+        let want = sort_oracle(&qs, &refs, k);
         for kind in [QueueKind::Insertion, QueueKind::Heap, QueueKind::Merge] {
-            // The merge queue wants a power-of-two k; skip it when that
-            // rounds past the reference count.
-            let kk = if kind == QueueKind::Merge { k.next_power_of_two().max(8) } else { k };
-            if kk > n {
-                continue;
-            }
-            let cfg = SelectConfig::plain(kind, kk);
-            let full = knn_search(&qs, &refs, &cfg);
-            let streamed = knn_search_streamed_parallel(&qs, &refs, &cfg, tile, 1);
-            if kind == QueueKind::Insertion {
-                prop_assert_eq!(&streamed, &full, "tile {}", tile);
-            } else {
-                for (s, f) in streamed.iter().zip(&full) {
-                    let sd: Vec<u32> = s.iter().map(|n| n.dist.to_bits()).collect();
-                    let fd: Vec<u32> = f.iter().map(|n| n.dist.to_bits()).collect();
-                    prop_assert_eq!(&sd, &fd, "kind {:?} tile {}", kind, tile);
+            for cfg in [SelectConfig::plain(kind, k), SelectConfig::optimized(kind, k)] {
+                for threads in [1usize, 2, 4] {
+                    let streamed = knn_search_streamed_parallel(&qs, &refs, &cfg, tile, threads);
+                    prop_assert_eq!(
+                        &bits(&streamed), &want,
+                        "{} tile {} threads {}", cfg.label(), tile, threads
+                    );
                 }
             }
         }
@@ -329,11 +344,6 @@ proptest! {
 /// and thread count must return `knn_search`'s neighbors byte for byte.
 #[test]
 fn paired_streamed_fill_is_byte_identical_to_knn_search() {
-    let bits = |v: &[Vec<kselect::Neighbor>]| -> Vec<Vec<(u32, u32)>> {
-        v.iter()
-            .map(|ns| ns.iter().map(|n| (n.dist.to_bits(), n.id)).collect())
-            .collect()
-    };
     let refs = PointSet::uniform(150, 13, 41);
     for q in [1usize, 31, 33, 65] {
         let queries = PointSet::uniform(q, 13, 40 + q as u64);

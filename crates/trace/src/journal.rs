@@ -57,7 +57,8 @@ pub mod phases {
     pub const ROW_SELECT: &str = "row_select";
     /// Distance fill of one reference tile (streamed path, summed).
     pub const TILE_FILL: &str = "tile_fill";
-    /// Per-tile k-selection (streamed path, summed).
+    /// Per-tile threshold scan into the top-k buffer (streamed path,
+    /// summed).
     pub const TILE_SELECT: &str = "tile_select";
     /// Distance kernel share (simulated resilient pipeline).
     pub const DISTANCE: &str = "distance";
@@ -97,9 +98,10 @@ pub struct QueryRecord {
     pub phase_ns: Vec<(String, u64)>,
     /// Distance-scratch bytes attributable to this query.
     pub scratch_bytes: u64,
-    /// Candidates this query pushed into its stream merger.
+    /// Candidates this query appended to its top-k buffer: the values
+    /// below its running k-th distance.
     pub merge_push: u64,
-    /// Candidates its running top-k evicted.
+    /// Candidates the cuts back to k dropped.
     pub merge_reject: u64,
     /// Distance-kernel blocks (reference tiles) crossed.
     pub blocks: u32,
