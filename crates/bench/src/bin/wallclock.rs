@@ -301,13 +301,15 @@ fn main() {
     // itself reports it (`knn.scratch.peak_bytes`) on one untimed metered
     // run per tile, so the artifact cannot drift from the code. The run
     // is checked against the materialized neighbors too.
+    let euclid = knn::Metric::SquaredEuclidean;
     let streamed_peak = |t: usize| -> u64 {
         let tile_reg = MetricsRegistry::new();
         let ins = knn::Instruments {
             registry: Some(&tile_reg),
             ..knn::Instruments::default()
         };
-        let nb = knn::knn_search_streamed_instrumented(&queries, &refs, &cfg, t, workers, &ins);
+        let nb =
+            knn::knn_search_streamed_instrumented(&queries, &refs, &cfg, euclid, t, workers, &ins);
         assert_eq!(
             nb, mat_neighbors,
             "metered streamed pipeline (tile {t}) disagrees with the materialized oracle"
@@ -357,7 +359,9 @@ fn main() {
             timeline: Some(&tl),
             ..knn::Instruments::default()
         };
-        let nb = knn::knn_search_streamed_instrumented(&queries, &refs, &cfg, tile, workers, &ins);
+        let nb = knn::knn_search_streamed_instrumented(
+            &queries, &refs, &cfg, euclid, tile, workers, &ins,
+        );
         assert_eq!(
             nb, mat_neighbors,
             "instrumented streamed pipeline disagrees with the materialized oracle"

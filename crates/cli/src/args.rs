@@ -663,8 +663,8 @@ Unknown or repeated flags exit 2; --help after a subcommand prints this.
 profile over *simulated* time; --trace-out writes a Chrome-trace JSON
 loadable in ui.perfetto.dev or chrome://tracing.
 
-`stats` sweeps the *native* streamed pipeline over tile sizes × queue
-kinds and prints wall-clock latency histograms (p50/p95/p99) plus the
+`stats` sweeps the *native* streamed pipeline over tile sizes and
+prints wall-clock latency histograms (p50/p95/p99) plus the
 stream-merge counters. --metrics-out (also on search/bench/serve) writes
 the collected metrics: OpenMetrics text exposition by default, or a JSON
 snapshot when FILE ends in .json.
@@ -690,8 +690,9 @@ journaled outcome; the run exits 2 if any request goes unaccounted.
 --threads T (on search/bench/stats/serve) sets the worker-thread count
 of the native distance/select pipeline: 1 (default) runs on the calling
 thread, 0 auto-detects (RAYON_NUM_THREADS, else available cores).
-Results are identical at every thread count — every worker merges
-tiles per query in ascending order. Instrumented commands report
+Every metric runs the one streamed pipeline, and results are identical
+at every thread count and for every --queue: the k smallest by
+(distance, id), the lowest id winning a tie. Instrumented commands report
 the active SIMD kernel (`simd_dispatch`: avx2+fma or scalar8; override
 with KNN_SIMD=scalar) alongside the thread count.
 

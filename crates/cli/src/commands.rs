@@ -17,11 +17,12 @@ use crate::args::{
 use crate::io;
 
 /// Round k up to a valid Merge Queue capacity (m·2^j with the fixed
-/// m = 8 of [`SelectConfig`]) so the CLI accepts any k for any queue;
-/// extra entries are trimmed after selection.
+/// m = 8 of [`SelectConfig`]) so the simulated kernels accept any k for
+/// any queue; extra entries are trimmed after selection. The native
+/// search reads only k and takes it as given (see [`checked_k`]).
 fn padded_k(queue: QueueKind, k: usize) -> usize {
     match queue {
-        QueueKind::Merge => k.next_power_of_two().max(8),
+        QueueKind::Merge => kselect::queues::merge::padded_capacity(k, 8),
         _ => k,
     }
 }
@@ -42,6 +43,18 @@ fn checked_padded_k(queue: QueueKind, k: usize, n: usize) -> Option<usize> {
     };
     eprintln!("error: {}: {e}{padded}", e.name());
     None
+}
+
+/// A native search's k checked against its `n` references: a zero k or
+/// one past `n` prints the typed [`KnnError`] and returns `false` (the
+/// caller exits 1).
+fn checked_k(k: usize, n: usize) -> bool {
+    if k == 0 || k > n {
+        let e = KnnError::InvalidK { k, n };
+        eprintln!("error: {}: {e}", e.name());
+        return false;
+    }
+    true
 }
 
 /// Write `body` to `path`; on failure say so on stderr and return
@@ -263,27 +276,20 @@ fn run_search(a: SearchArgs) -> i32 {
     let (Ok(refs), Ok(queries)) = (load(&a.refs, "refs"), load(&a.queries, "queries")) else {
         return 1;
     };
-    let Some(kk) = checked_padded_k(a.queue, a.k, refs.len()) else {
+    if !checked_k(a.k, refs.len()) {
         return 1;
-    };
+    }
     for (pts, label) in [(&queries, "query"), (&refs, "reference")] {
         if let Err(e) = validate_points(pts, label) {
             eprintln!("error: {}: {e}", e.name());
             return 1;
         }
     }
-    let cfg = SelectConfig::optimized(a.queue, kk);
+    let cfg = SelectConfig::optimized(a.queue, a.k);
     let registry = a.sinks.metrics_out.as_ref().map(|_| MetricsRegistry::new());
     let jn = make_journal(&a.sinks.journal);
     let workers = knn::resolve_threads(a.threads);
     let metric = a.metric;
-    let parallel = workers > 1 && metric == Metric::SquaredEuclidean;
-    if workers > 1 && !parallel {
-        eprintln!(
-            "note: --threads applies to the squared-euclidean streamed pipeline \
-             only; {metric:?} runs sequentially"
-        );
-    }
     if let Some(reg) = &registry {
         record_runtime_config(reg, workers);
     }
@@ -296,15 +302,9 @@ fn run_search(a: SearchArgs) -> i32 {
         tag: "search",
     };
     let t0 = Instant::now();
-    let mut results = if parallel {
-        let tile = knn::DEFAULT_STREAM_TILE;
-        knn::knn_search_streamed_instrumented(&queries, &refs, &cfg, tile, workers, &ins)
-    } else {
-        knn::knn_search_with_instrumented(&queries, &refs, &cfg, metric, &ins)
-    };
-    for r in &mut results {
-        r.truncate(a.k);
-    }
+    let tile = knn::DEFAULT_STREAM_TILE;
+    let results =
+        knn::knn_search_streamed_instrumented(&queries, &refs, &cfg, metric, tile, workers, &ins);
     let dt = t0.elapsed().as_secs_f64();
     let tl_report = tlo.as_ref().map(|tl| tl.report());
     if !write_artifacts(&a.sinks, registry.as_ref(), tl_report.as_ref(), jn.as_ref()) {
@@ -506,26 +506,25 @@ fn run_profile(a: ProfileArgs) -> i32 {
 /// bench's `--sweep-tiles` mode walks.
 const STATS_TILES: [usize; 4] = [1024, 2048, 4096, 8192];
 
-/// `knn-cli stats`: run the native streamed pipeline across
-/// [`STATS_TILES`] × queue kinds with the metrics registry attached,
-/// print per-combination QPS plus the aggregated latency histograms,
-/// and optionally export the registry snapshot.
+/// `knn-cli stats`: run the native streamed pipeline at every tile of
+/// [`STATS_TILES`] with the metrics registry attached, print per-tile
+/// QPS plus the aggregated latency histograms, and optionally export
+/// the registry snapshot. The search reads only k, so one
+/// configuration covers every queue kind.
 fn run_stats(a: StatsArgs) -> i32 {
     let (n, dim, k, queries) = (a.n, a.dim, a.k, a.queries);
     let refs = PointSet::uniform(n, dim, 11);
     let qs = PointSet::uniform(queries, dim, 12);
-    if k == 0 || k > n {
-        let e = KnnError::InvalidK { k, n };
-        eprintln!("error: {}: {e}", e.name());
+    if !checked_k(k, n) {
         return 1;
     }
     let workers = knn::resolve_threads(a.threads);
     let reg = MetricsRegistry::new();
     record_runtime_config(&reg, workers);
     let jn = make_journal(&a.sinks.journal);
-    // One recorder + observer across the whole sweep: every
-    // tile × queue combination lands on the same per-worker tracks,
-    // with inter-combination gaps showing up as idle time.
+    // One recorder + observer across the whole sweep: every tile lands
+    // on the same per-worker tracks, with inter-tile gaps showing up as
+    // idle time.
     let tl_rec = timeline_recorder(&a.sinks, workers);
     let tlo = tl_rec.as_ref().map(knn::metered::TimelineObserver::new);
     let ins = knn::Instruments {
@@ -539,30 +538,21 @@ fn run_stats(a: StatsArgs) -> i32 {
          [kernel {}, threads {workers}]\n",
         knn::dispatch_name()
     );
-    println!(
-        "{:<10} {:>6} {:>12} {:>14}",
-        "queue", "tile", "qps", "ms total"
-    );
-    for kind in [QueueKind::Insertion, QueueKind::Heap, QueueKind::Merge] {
-        let kk = padded_k(kind, k);
-        if kk > n {
-            eprintln!("skipping {kind:?}: padded k {kk} exceeds n {n}");
-            continue;
-        }
-        let cfg = SelectConfig::optimized(kind, kk);
-        for tile in STATS_TILES {
-            let t0 = Instant::now();
-            let out = knn::knn_search_streamed_instrumented(&qs, &refs, &cfg, tile, workers, &ins);
-            let dt = t0.elapsed().as_secs_f64();
-            std::hint::black_box(&out);
-            println!(
-                "{:<10} {:>6} {:>12.1} {:>14.2}",
-                format!("{kind:?}"),
-                tile,
-                queries as f64 / dt,
-                dt * 1e3
-            );
-        }
+    println!("{:>6} {:>12} {:>14}", "tile", "qps", "ms total");
+    let cfg = SelectConfig::optimized(QueueKind::Merge, k);
+    let metric = Metric::SquaredEuclidean;
+    for tile in STATS_TILES {
+        let t0 = Instant::now();
+        let out =
+            knn::knn_search_streamed_instrumented(&qs, &refs, &cfg, metric, tile, workers, &ins);
+        let dt = t0.elapsed().as_secs_f64();
+        std::hint::black_box(&out);
+        println!(
+            "{:>6} {:>12.1} {:>14.2}",
+            tile,
+            queries as f64 / dt,
+            dt * 1e3
+        );
     }
     let tl_report = tlo.as_ref().map(|tl| tl.report());
     let mut snap = reg.snapshot();
@@ -734,13 +724,15 @@ fn run_serve(a: ServeArgs) -> i32 {
             .with_bitflips(f.bitflips)
             .with_pcie(f.pcie_stall, f.pcie_corrupt)
     });
-    let Some(k) = checked_padded_k(QueueKind::Merge, a.k, a.n) else {
+    // The simulated kernels calibrate a padded Merge k; the native
+    // search takes k as given.
+    if checked_padded_k(QueueKind::Merge, a.k, a.n).is_none() {
         return 1;
-    };
+    }
     let cfg = serve::ServeConfig {
         n: a.n,
         dim: a.dim,
-        k,
+        k: a.k,
         queries_per_request: a.queries,
         seed: a.seed,
         duration_s: a.duration,
@@ -1267,9 +1259,9 @@ mod tests {
             0
         );
         let text = std::fs::read_to_string(&out).unwrap();
-        // 3 queue kinds × 4 tiles × 6 queries each hit the streamed path
+        // 4 tiles × 6 queries each hit the streamed path
         assert!(text.contains("knn_tile_select_ns_count"));
-        assert!(text.contains("knn_queries_total 72"));
+        assert!(text.contains("knn_queries_total 24"));
         assert!(text.ends_with("# EOF\n"));
         // invalid k is a clean named error
         assert_eq!(run_stats(stats_args(100, 0, 4, 1, Sinks::default())), 1);
@@ -1382,9 +1374,9 @@ mod tests {
         };
         assert_eq!(run_stats(stats_args(3000, 8, 6, 1, sinks)), 0);
         let recs = trace::journal::parse_jsonl(&std::fs::read_to_string(&jpath).unwrap()).unwrap();
-        // 3 queue kinds × 4 tiles × 6 queries
-        assert_eq!(recs.len(), 72);
-        assert!(recs.iter().any(|r| r.queue == "heap"));
+        // 4 tiles × 6 queries
+        assert_eq!(recs.len(), 24);
+        assert!(recs.iter().all(|r| r.queue == "merge"));
         assert!(recs.iter().all(|r| r.tile > 0 && r.blocks > 0));
 
         let bpath = dir.join("bench.jsonl");
@@ -1505,9 +1497,9 @@ mod tests {
         let report =
             trace::TimelineReport::from_json(&std::fs::read_to_string(&tl).unwrap()).unwrap();
         assert_eq!(report.lanes.len(), 2, "one lane per worker");
-        // 3 queue kinds × 4 tiles, 64 queries each → 2 query blocks per
-        // combination, and every claimed block lands on exactly one lane
-        assert_eq!(report.blocks_total, 24);
+        // 4 tiles, 64 queries each → 2 query blocks per tile, and every
+        // claimed block lands on exactly one lane
+        assert_eq!(report.blocks_total, 8);
         assert_eq!(
             report.lanes.iter().map(|l| l.blocks).sum::<u64>(),
             report.blocks_total
@@ -1588,11 +1580,11 @@ mod tests {
         );
         let report =
             trace::TimelineReport::from_json(&std::fs::read_to_string(&tl).unwrap()).unwrap();
-        // One worker runs the block loop inline: 3 queue kinds × 4
-        // tiles × 2 query blocks, all on the single lane.
+        // One worker runs the block loop inline: 4 tiles × 2 query
+        // blocks, all on the single lane.
         assert_eq!(report.lanes.len(), 1);
-        assert_eq!(report.blocks_total, 24);
-        assert_eq!(report.lanes[0].blocks, 24);
+        assert_eq!(report.blocks_total, 8);
+        assert_eq!(report.lanes[0].blocks, 8);
         assert_eq!(
             report.lanes[0].busy_ns + report.lanes[0].idle_ns,
             report.wall_ns

@@ -45,6 +45,51 @@ fn padded_k_past_n_is_a_typed_error() {
     );
 }
 
+/// The native search reads only k, so a Merge k below the queue width
+/// is not padded there: k = 3 of 5 references answers 3 neighbors per
+/// query.
+#[test]
+fn search_merge_k_below_the_queue_width_is_not_padded() {
+    let dir = scratch("merge_k3");
+    for (name, count) in [("refs", "5"), ("queries", "2")] {
+        let out = run_in(
+            Some(&dir),
+            &["generate", "--count", count, "--dim", "4", "--out", name],
+        );
+        assert_eq!(out.status.code(), Some(0), "generate {name}");
+    }
+    let out = run_in(
+        Some(&dir),
+        &[
+            "search",
+            "--refs",
+            "refs",
+            "--queries",
+            "queries",
+            "--dim",
+            "4",
+            "--k",
+            "3",
+            "--queue",
+            "merge",
+            "--json",
+        ],
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    let rows = serde_json::parse_value(&String::from_utf8_lossy(&out.stdout)).unwrap();
+    let serde_json::Value::Array(rows) = rows else {
+        panic!("one array per query");
+    };
+    assert_eq!(rows.len(), 2);
+    for row in rows {
+        let serde_json::Value::Array(neighbors) = row else {
+            panic!("a query's neighbors are an array");
+        };
+        assert_eq!(neighbors.len(), 3);
+    }
+}
+
 /// A fault rate outside [0, 1] used to act as "never" (negative, NaN)
 /// or "always" (past 1); every rate flag of `faults` now rejects it
 /// with exit 2 before any campaign runs.

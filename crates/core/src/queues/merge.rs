@@ -61,6 +61,12 @@ pub fn valid_capacity(k: usize, m: usize) -> bool {
         && (k / m).is_power_of_two()
 }
 
+/// The smallest valid capacity (see [`valid_capacity`]) that holds `k`
+/// entries at a power-of-two level-0 size `m`: `m · 2^j ≥ k`.
+pub fn padded_capacity(k: usize, m: usize) -> usize {
+    k.next_power_of_two().max(m)
+}
+
 impl MergeQueue<NoStats> {
     /// A queue of capacity `k` with level-0 size `m` (the paper uses
     /// `m = 8`), pre-filled with sentinels.

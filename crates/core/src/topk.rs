@@ -3,10 +3,18 @@
 //!
 //! A streaming caller sees each query's distances one reference tile at
 //! a time. [`TopK`] holds the query's state between tiles: its `≤ k`
-//! best as unsorted `u64` keys `(dist.to_bits() << 32) | id` and the
-//! running bound, the k-th smallest distance once k are held. For
-//! non-negative distances the key order is the `(dist, id)` order, so
-//! one integer compare ranks a candidate and the lowest id wins a tie.
+//! best as unsorted `i64` keys `(signed(dist) << 32) | id` and the
+//! running bound, the k-th smallest distance once k are held.
+//! `signed(dist)` is the distance's sign and magnitude bits as an
+//! `i32`, computed without a branch: the raw bits for `dist ≥ +0.0`,
+//! minus the magnitude below zero, so `−0.0` is `+0.0`. The key order is
+//! therefore the `(dist, id)` order of IEEE `<` (`−0.0 == +0.0`) for
+//! every finite distance, so one integer compare ranks a candidate and
+//! the lowest id wins a tie, for negative distances (a negated dot
+//! product, a cosine rounded below zero) as for positive ones. The scan
+//! writes the raw bits, which are already the key for `dist ≥ +0.0`,
+//! and converts a strip's kept keys only when the strip holds a value
+//! with the sign bit set.
 //!
 //! Per tile, [`TopK::push`] scans the row branch-free in strips of
 //! [`STRIP`] values into a per-worker [`Candidates`] buffer of
@@ -48,7 +56,7 @@ pub const STRIP: usize = 64;
 /// `settle` always leaves it empty.
 #[derive(Clone, Debug)]
 pub struct Candidates {
-    keys: Vec<u64>,
+    keys: Vec<i64>,
     len: usize,
 }
 
@@ -67,27 +75,44 @@ impl Candidates {
 #[derive(Clone, Debug)]
 pub struct TopK {
     k: usize,
-    keys: Vec<u64>,
+    keys: Vec<i64>,
     bound: f32,
     stats: MergeStats,
 }
 
-/// The rank key of `d` at `id`: `(dist, id)` order for `d ≥ +0.0`.
+/// What the scan writes for every value: `(d.to_bits() << 32) | id`.
+/// For `d ≥ +0.0` this is the rank key; [`signed`] converts the rest.
 #[inline]
-fn key(d: f32, id: u32) -> u64 {
-    (u64::from(d.to_bits()) << 32) | u64::from(id)
+fn raw_key(d: f32, id: u32) -> i64 {
+    (i64::from(d.to_bits()) << 32) | i64::from(id)
+}
+
+/// The rank key of a [`raw_key`]: its distance's magnitude bits, negated
+/// when the sign bit is set, so the key order is the `(dist, id)` order
+/// for every finite distance and `−0.0` becomes `+0.0`. The identity for
+/// `d ≥ +0.0`.
+#[inline]
+fn signed(raw: i64) -> i64 {
+    let bits = (raw >> 32) as i32;
+    // 0 for a non-negative value, -1 for a negative one.
+    let s = bits >> 31;
+    let mag = bits & 0x7FFF_FFFF;
+    (i64::from((mag ^ s) - s) << 32) | (raw & 0xFFFF_FFFF)
 }
 
 /// The distance a key starts with.
 #[inline]
-fn key_dist(key: u64) -> f32 {
-    f32::from_bits((key >> 32) as u32)
+fn key_dist(key: i64) -> f32 {
+    let hi = (key >> 32) as i32;
+    let s = hi >> 31;
+    let mag = ((hi ^ s) - s) as u32;
+    f32::from_bits(mag | (s as u32 & 0x8000_0000))
 }
 
 /// Cut `keys` to its `k` smallest (in `keys[..k]`, no particular
 /// order) and return the k-th smallest distance. `keys.len() ≥ k`.
 #[inline]
-fn cut(keys: &mut [u64], k: usize) -> f32 {
+fn cut(keys: &mut [i64], k: usize) -> f32 {
     let (_, kth, _) = keys.select_nth_unstable(k - 1);
     key_dist(*kth)
 }
@@ -127,17 +152,15 @@ impl TopK {
     /// query's held keys are loaded into it first, so a query may push
     /// several pieces before it settles.
     ///
-    /// Values must be `≥ +0.0`, `+∞` or NaN (the last two are never
-    /// kept), and `id0` must exceed every id pushed before. `cand` must
-    /// be empty or hold this query's candidates: settle one query
-    /// before pushing the next.
+    /// Values may be any `f32`; `+∞` and NaN are never kept. `id0` must
+    /// exceed every id pushed before. `cand` must be empty or hold this
+    /// query's candidates: settle one query before pushing the next.
     ///
     /// # Panics
     /// When `cand` was made for a different `k`.
     pub fn push(&mut self, cand: &mut Candidates, row: &[f32], id0: u32) {
         let k = self.k;
         assert_eq!(cand.keys.len(), 2 * k + STRIP, "buffer made for another k");
-        debug_assert!(row.iter().all(|d| !d.is_sign_negative()));
         let mut len = cand.len;
         if len == 0 {
             len = self.keys.len();
@@ -159,13 +182,22 @@ impl TopK {
             // `len ≤ 2k`, so a whole strip fits. The cursor `c` never
             // passes the value index `j < STRIP`, so `c & (STRIP - 1)`
             // is `c`.
-            let dst: &mut [u64; STRIP] = (&mut cand.keys[len..len + STRIP])
+            let dst: &mut [i64; STRIP] = (&mut cand.keys[len..len + STRIP])
                 .try_into()
                 .expect("the buffer has a strip of slack");
-            let mut c = 0;
+            let (mut c, mut signs) = (0, 0);
             for (&d, j) in strip.iter().zip(0u32..) {
-                dst[c & (STRIP - 1)] = key(d, id + j);
+                dst[c & (STRIP - 1)] = raw_key(d, id + j);
                 c += usize::from(d < bound);
+                signs |= d.to_bits();
+            }
+            // Raw keys of values with the sign bit set are not yet rank
+            // keys; a strip without one (every strip of a squared
+            // Euclidean row) skips the conversion.
+            if signs >> 31 != 0 {
+                for k in &mut dst[..c] {
+                    *k = signed(*k);
+                }
             }
             len += c;
             pushed += c as u64;

@@ -1,5 +1,6 @@
 //! `TopK` against a full `(dist, id)` sort of everything pushed, cut at
-//! k: tie-heavy rows, `+0.0` and `+∞` entries, k from 1 to the row
+//! k: tie-heavy rows, negative values, mixed `−0.0`/`+0.0` and `+∞`
+//! entries, k from 1 to the row
 //! length (and past it), empty rows, rows split across many pushes at
 //! arbitrary offsets with or without a settle between them, and buffer
 //! fills landing just below, at and just above the `2k` cut point.
@@ -8,16 +9,16 @@ use kselect::topk::STRIP;
 use kselect::{Candidates, Neighbor, TopK};
 use proptest::prelude::*;
 
-/// The k smallest finite values of `row` by `(dist, id)`, as
-/// `(dist bits, id)`.
+/// The k smallest finite values of `row` by `(dist, id)` under IEEE
+/// `<` (`−0.0 == +0.0`, returned as `+0.0`), as `(dist bits, id)`.
 fn oracle(row: &[f32], k: usize) -> Vec<(u32, u32)> {
     let mut v: Vec<(f32, u32)> = row
         .iter()
-        .copied()
+        .map(|&d| if d == 0.0 { 0.0 } else { d })
         .zip(0u32..)
         .filter(|(d, _)| d.is_finite())
         .collect();
-    v.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    v.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
     v.iter().take(k).map(|&(d, i)| (d.to_bits(), i)).collect()
 }
 
@@ -47,13 +48,17 @@ fn stream(row: &[f32], k: usize, splits: &[usize], settle_after: &[bool]) -> (Ve
     (top.finish(), s.pushed - s.rejected)
 }
 
-/// A value drawn from few distinct ones (ties everywhere), `+0.0` and
-/// `+∞` included, or from a spread range.
+/// A value drawn from few distinct ones (ties everywhere, negatives
+/// among them), `+0.0`, `−0.0`, `+∞` and the finite extremes included,
+/// or from a spread range of either sign.
 fn value() -> impl Strategy<Value = f32> {
-    (0u32..10, 0u32..1 << 20).prop_map(|(pick, v)| match pick {
-        0..=3 => (v % 6) as f32 * 0.5,
-        4 | 5 => 0.0,
+    (0u32..13, 0u32..1 << 20).prop_map(|(pick, v)| match pick {
+        0..=3 => (v % 6) as f32 * 0.5 - 1.0,
+        4 => 0.0,
+        5 => -0.0,
         6 | 7 => f32::INFINITY,
+        8 | 9 => -(v as f32) / 1024.0,
+        10 => [f32::MIN, f32::MAX, -1e-30, 1e-30][v as usize % 4],
         _ => v as f32 / 1024.0,
     })
 }

@@ -22,7 +22,6 @@ pub mod cpu;
 pub mod dataset;
 pub mod distance;
 pub mod eval;
-pub mod graph;
 #[cfg(feature = "metrics")]
 pub mod metered;
 pub mod metric;
@@ -40,11 +39,10 @@ pub use distance::{
     clamp_non_finite, distance_matrix, dot, gpu_distance_metrics, squared_distance, squared_norm,
 };
 pub use eval::{ground_truth, mean_recall, recall_at_k};
-pub use graph::KnnGraph;
 #[cfg(feature = "metrics")]
 pub use metered::{
-    knn_search_streamed_instrumented, knn_search_with_instrumented, Instruments, JournalObserver,
-    RegistryObserver, TimelineObserver,
+    knn_search_streamed_instrumented, Instruments, JournalObserver, RegistryObserver,
+    TimelineObserver,
 };
 pub use metric::{distance_matrix_flat_with, distance_matrix_with, Metric};
 pub use pcie::{data_copy_time, transfer_with_faults, PcieReport};

@@ -4,35 +4,36 @@
 //! This is the bridge between the pipeline's [`PhaseObserver`] and
 //! [`TimelineHooks`] and the `trace` crate's sinks: every phase gets a
 //! wall-clock latency histogram in a [`MetricsRegistry`], the streamed
-//! path reports its scratch high-water mark and the push/reject totals
+//! loop reports its scratch high-water mark and the push/reject totals
 //! of its per-query [`kselect::TopK`]s, a
 //! [`Journal`] gets one [`QueryRecord`] per query, and a
 //! [`TimelineRecorder`] gets per-worker tracks. Only this module reads
 //! the host clock on knn's behalf — the default-feature pipeline
 //! monomorphizes the hooks away entirely.
 //!
-//! Two entry points cover every combination of sinks:
-//! [`knn_search_with_instrumented`] (the materialized row path) and
-//! [`knn_search_streamed_instrumented`] (the streamed loop at any
-//! thread count). Both take an [`Instruments`] bundle and pick the
-//! observer internally: a [`JournalObserver`] when a live journal is
-//! given (it forwards to the registry too, so one set of clock reads
-//! feeds both), a [`RegistryObserver`] for a registry alone, and
-//! [`NullObserver`] — the plain code — when neither is.
+//! One entry point covers every combination of sinks:
+//! [`knn_search_streamed_instrumented`], the streamed loop every native
+//! search runs, under any metric and thread count. It takes an
+//! [`Instruments`] bundle and picks the observer internally: a
+//! [`JournalObserver`] when a live journal is given (it forwards to the
+//! registry too, so one set of clock reads feeds both), a
+//! [`RegistryObserver`] for a registry alone, and [`NullObserver`] — the
+//! plain code — when neither is.
 //!
 //! Metric names (`trace::openmetrics` sanitizes the dots for
 //! OpenMetrics output):
 //!
 //! | name | kind | meaning |
 //! |------|------|---------|
-//! | `knn.query.latency_ns` | histogram | one query end to end (row fill + select) |
-//! | `knn.row.fill_ns` / `knn.row.select_ns` | histogram | phases of the above |
-//! | `knn.tile.fill_ns` | histogram | distance fill of one query pair (or an odd last query) × tile on the streamed path |
-//! | `knn.tile.select_ns` | histogram | per query × tile threshold scan of the streamed path (with any mid-tile cuts) |
+//! | `knn.tile.fill_ns` | histogram | distance fill of one query pair (or an odd last query) × tile |
+//! | `knn.tile.select_ns` | histogram | per query × tile threshold scan (with any mid-tile cuts) |
 //! | `knn.tile.merge_ns` | histogram | cut of one query's buffered candidates back to k, plus the final sort on its last tile (per query × tile, at every thread count) |
-//! | `knn.scratch.peak_bytes` | peak | distance-scratch high-water mark: `workers × rows × min(tile, N) × 4` streamed (`rows` = 2, or 1 when a block holds one query), `N × 4` per worker on the row path |
+//! | `knn.scratch.peak_bytes` | peak | distance-scratch high-water mark: `workers × rows × min(tile, N) × 4`, where `rows` = 2, or 1 when a block holds one query |
 //! | `knn.stream.merge_push` / `knn.stream.merge_reject` | counter | candidates appended below the running k-th distance / dropped by the cuts to k |
 //! | `knn.queries` | counter | queries answered by instrumented searches |
+//!
+//! `knn.query.latency_ns`, `knn.row.fill_ns` and `knn.row.select_ns`
+//! name the [`Phase`]s of the former row path; no search records them.
 
 use std::ops::Range;
 use std::sync::Mutex;
@@ -47,10 +48,7 @@ use trace::NullTimeline;
 
 use crate::dataset::PointSet;
 use crate::metric::Metric;
-use crate::pipeline::{
-    knn_search_streamed_parallel_timelined, knn_search_with_observed, queue_tag, NeverCancel,
-    NullObserver, Phase, PhaseObserver,
-};
+use crate::pipeline::{queue_tag, stream, NeverCancel, NullObserver, Phase, PhaseObserver};
 
 /// Histogram name a [`Phase`] records under.
 pub fn phase_metric(phase: Phase) -> &'static str {
@@ -106,15 +104,13 @@ impl PhaseObserver for RegistryObserver<'_> {
 }
 
 /// Journal phase-name key of a pipeline [`Phase`] (`None` for the
-/// aggregate tile merge, which has no single owning query).
+/// phases no search emits).
 fn phase_key(phase: Phase) -> Option<&'static str> {
     match phase {
-        Phase::Query => Some(phases::QUERY),
-        Phase::RowFill => Some(phases::ROW_FILL),
-        Phase::RowSelect => Some(phases::ROW_SELECT),
         Phase::TileFill => Some(phases::TILE_FILL),
         Phase::TileSelect => Some(phases::TILE_SELECT),
-        Phase::TileMerge => None,
+        Phase::TileMerge => Some(phases::TILE_MERGE),
+        Phase::Query | Phase::RowFill | Phase::RowSelect => None,
     }
 }
 
@@ -122,11 +118,9 @@ fn phase_key(phase: Phase) -> Option<&'static str> {
 /// tiles).
 #[derive(Clone, Copy, Default)]
 struct Draft {
-    query_ns: u64,
-    row_fill_ns: u64,
-    row_select_ns: u64,
     tile_fill_ns: u64,
     tile_select_ns: u64,
+    tile_merge_ns: u64,
     merge_push: u64,
     merge_reject: u64,
     worker: u32,
@@ -135,12 +129,10 @@ struct Draft {
 impl Draft {
     fn add(&mut self, phase: Phase, ns: u64) {
         match phase {
-            Phase::Query => self.query_ns += ns,
-            Phase::RowFill => self.row_fill_ns += ns,
-            Phase::RowSelect => self.row_select_ns += ns,
             Phase::TileFill => self.tile_fill_ns += ns,
             Phase::TileSelect => self.tile_select_ns += ns,
-            Phase::TileMerge => {}
+            Phase::TileMerge => self.tile_merge_ns += ns,
+            Phase::Query | Phase::RowFill | Phase::RowSelect => {}
         }
     }
 }
@@ -170,39 +162,26 @@ impl<'a> JournalObserver<'a> {
         self.drafts[qi].lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Emit one [`QueryRecord`] per query into `journal`. `tile` is 0 on
-    /// the materialized row path; `blocks` counts reference tiles
-    /// crossed per query.
+    /// Emit one [`QueryRecord`] per query into `journal`. `blocks`
+    /// counts reference tiles crossed per query; `total_ns` is the sum
+    /// of the query's tile phases.
     fn flush(&self, journal: &dyn Journal, cfg: &SelectConfig, tag: &str, tile: u64, blocks: u32) {
         let scratch_bytes = *self.scratch.lock().unwrap_or_else(|e| e.into_inner());
         for (qi, slot) in self.drafts.iter().enumerate() {
             let d = *slot.lock().unwrap_or_else(|e| e.into_inner());
-            let mut phase_ns = Vec::new();
-            for (key, ns) in [
-                (phases::QUERY, d.query_ns),
-                (phases::ROW_FILL, d.row_fill_ns),
-                (phases::ROW_SELECT, d.row_select_ns),
+            let phase_ns = [
                 (phases::TILE_FILL, d.tile_fill_ns),
                 (phases::TILE_SELECT, d.tile_select_ns),
-            ] {
-                if ns > 0 {
-                    phase_ns.push((key.to_string(), ns));
-                }
-            }
-            // Row path: the Query envelope is the end-to-end latency.
-            // Streamed path: no envelope exists, so the per-query total
-            // is the sum of its tile phases.
-            let total_ns = if d.query_ns > 0 {
-                d.query_ns
-            } else {
-                d.tile_fill_ns + d.tile_select_ns
-            };
+                (phases::TILE_MERGE, d.tile_merge_ns),
+            ]
+            .map(|(key, ns)| (key.to_string(), ns))
+            .to_vec();
             journal.record(QueryRecord {
                 query: qi as u64,
                 queue: queue_tag(cfg),
                 tag: tag.to_string(),
                 tile,
-                total_ns,
+                total_ns: d.tile_fill_ns + d.tile_select_ns + d.tile_merge_ns,
                 phase_ns,
                 scratch_bytes,
                 merge_push: d.merge_push,
@@ -315,9 +294,9 @@ impl<'a> TimelineObserver<'a> {
     }
 
     /// Run `f` as one `Service` span on `worker`'s track. Work with no
-    /// block claims to record (the row path, the CLI's selection bench)
-    /// gets an honest busy lane this way; `detail` disambiguates
-    /// repeated services (the CLI uses the run index).
+    /// block claims to record (the CLI's selection bench) gets an
+    /// honest busy lane this way; `detail` disambiguates repeated
+    /// services (the CLI uses the run index).
     pub fn service<R>(&self, worker: usize, detail: u64, f: impl FnOnce() -> R) -> R {
         let t0 = self.now_ns();
         let out = f();
@@ -358,131 +337,69 @@ pub struct Instruments<'a> {
     /// One [`QueryRecord`] per query, written after the search returns.
     /// A disabled journal ([`trace::NullJournal`]) counts as none.
     pub journal: Option<&'a dyn Journal>,
-    /// Per-worker tracks: block lanes on the streamed path, one
-    /// `Service` span on track 0 for the row path.
+    /// Per-worker tracks of block lanes.
     pub timeline: Option<&'a TimelineObserver<'a>>,
     /// Labels the run in every journal record.
     pub tag: &'a str,
 }
 
-/// One search, runnable under whichever observer [`observe`] picks.
-trait ObservedRun {
-    fn run<O: PhaseObserver>(&self, obs: &O) -> Vec<Vec<Neighbor>>;
-}
-
-/// Run `search` under the observer `ins` calls for: a
-/// [`JournalObserver`] (forwarding to the registry, if any) when a live
-/// journal is given, else a [`RegistryObserver`], else
-/// [`NullObserver`]. Journal records carry `tile` (0 on the row path)
-/// and `blocks` (reference tiles crossed per query).
-fn observe(
-    queries: usize,
-    cfg: &SelectConfig,
-    ins: &Instruments<'_>,
-    tile: u64,
-    blocks: u32,
-    search: impl ObservedRun,
-) -> Vec<Vec<Neighbor>> {
-    if let Some(reg) = ins.registry {
-        reg.inc(QUERIES, queries as u64);
-    }
-    match (ins.journal.filter(|j| j.enabled()), ins.registry) {
-        (Some(journal), registry) => {
-            let obs = JournalObserver::new(queries, registry);
-            let out = search.run(&obs);
-            obs.flush(journal, cfg, ins.tag, tile, blocks);
-            out
-        }
-        (None, Some(reg)) => search.run(&RegistryObserver::new(reg)),
-        (None, None) => search.run(&NullObserver),
-    }
-}
-
-/// [`crate::knn_search_with`] reporting into `ins`: per-query latency
-/// histograms ([`Phase::Query`] wrapping [`Phase::RowFill`] and
-/// [`Phase::RowSelect`]), per-worker row-scratch peaks, one journal
-/// record per query, and one `Service` span on timeline track 0 around
-/// the whole search. Same results as the plain path.
-pub fn knn_search_with_instrumented(
-    queries: &PointSet,
-    refs: &PointSet,
-    cfg: &SelectConfig,
-    metric: Metric,
-    ins: &Instruments<'_>,
-) -> Vec<Vec<Neighbor>> {
-    /// The row search's arguments: queries, references, config, metric.
-    struct Rows<'a>(&'a PointSet, &'a PointSet, &'a SelectConfig, Metric);
-    impl ObservedRun for Rows<'_> {
-        fn run<O: PhaseObserver>(&self, obs: &O) -> Vec<Vec<Neighbor>> {
-            let Rows(queries, refs, cfg, metric) = *self;
-            knn_search_with_observed(queries, refs, cfg, metric, obs)
-        }
-    }
-    let search = Rows(queries, refs, cfg, metric);
-    let run = || observe(queries.len(), cfg, ins, 0, 1, search);
-    match ins.timeline {
-        Some(tl) => tl.service(0, 0, run),
-        None => run(),
-    }
-}
-
-/// [`crate::knn_search_streamed_parallel`] reporting into `ins`:
-/// per query × tile fill/select/merge histograms, the scratch peak,
-/// stream-merge totals, one journal record per query (tile phases
-/// summed across tiles, per-query merge counts, the owning worker), and
-/// the timeline's block lanes at every thread count. Observers are
-/// thread-safe, so totals and per-query records are exact at any
-/// thread count. Same results as the plain path.
+/// [`crate::knn_search_with`] on `threads` workers and `tile`-length
+/// reference tiles, reporting into `ins`: per query × tile
+/// fill/select/merge histograms, the scratch peak, stream-merge totals,
+/// one journal record per query (tile phases summed across tiles,
+/// per-query merge counts, the owning worker), and the timeline's block
+/// lanes at every thread count. Observers are thread-safe, so totals
+/// and per-query records are exact at any thread count. Same results as
+/// the plain path.
 pub fn knn_search_streamed_instrumented(
     queries: &PointSet,
     refs: &PointSet,
     cfg: &SelectConfig,
+    metric: Metric,
     tile: usize,
     threads: usize,
     ins: &Instruments<'_>,
 ) -> Vec<Vec<Neighbor>> {
-    /// The streamed search's arguments: queries, references, config,
-    /// tile, threads, timeline.
-    struct Streamed<'a>(
-        &'a PointSet,
-        &'a PointSet,
-        &'a SelectConfig,
-        usize,
-        usize,
-        Option<&'a TimelineObserver<'a>>,
-    );
-    impl Streamed<'_> {
-        fn search<O: PhaseObserver, T: TimelineHooks>(
-            &self,
-            obs: &O,
-            tl: &T,
-        ) -> Vec<Vec<Neighbor>> {
-            let Streamed(queries, refs, cfg, tile, threads, _) = *self;
-            knn_search_streamed_parallel_timelined(
-                queries,
-                refs,
-                cfg,
-                tile,
-                threads,
-                obs,
-                &NeverCancel,
-                tl,
-            )
-            .unwrap_or_else(|c| unreachable!("NeverCancel cancelled at tile {}", c.tiles_done))
-        }
+    if let Some(reg) = ins.registry {
+        reg.inc(QUERIES, queries.len() as u64);
     }
-    impl ObservedRun for Streamed<'_> {
-        fn run<O: PhaseObserver>(&self, obs: &O) -> Vec<Vec<Neighbor>> {
-            match self.5 {
-                Some(tl) => self.search(obs, tl),
-                None => self.search(obs, &NullTimeline),
-            }
+    let tl = ins.timeline;
+    match (ins.journal.filter(|j| j.enabled()), ins.registry) {
+        (Some(journal), registry) => {
+            let obs = JournalObserver::new(queries.len(), registry);
+            let out = run(&obs, queries, refs, cfg, metric, tile, threads, tl);
+            let eff_tile = tile.min(refs.len().max(1));
+            let blocks = refs.len().div_ceil(eff_tile) as u32;
+            obs.flush(journal, cfg, ins.tag, eff_tile as u64, blocks);
+            out
         }
+        (None, Some(reg)) => {
+            let obs = RegistryObserver::new(reg);
+            run(&obs, queries, refs, cfg, metric, tile, threads, tl)
+        }
+        (None, None) => run(&NullObserver, queries, refs, cfg, metric, tile, threads, tl),
     }
-    let eff_tile = tile.min(refs.len().max(1));
-    let blocks = refs.len().div_ceil(eff_tile.max(1)) as u32;
-    let search = Streamed(queries, refs, cfg, tile, threads, ins.timeline);
-    observe(queries.len(), cfg, ins, eff_tile as u64, blocks, search)
+}
+
+/// The streamed loop under `obs`, on `timeline`'s tracks when one is
+/// given.
+#[allow(clippy::too_many_arguments)]
+fn run<O: PhaseObserver>(
+    obs: &O,
+    queries: &PointSet,
+    refs: &PointSet,
+    cfg: &SelectConfig,
+    metric: Metric,
+    tile: usize,
+    threads: usize,
+    timeline: Option<&TimelineObserver<'_>>,
+) -> Vec<Vec<Neighbor>> {
+    let (never, null) = (&NeverCancel, &NullTimeline);
+    let out = match timeline {
+        Some(tl) => stream(queries, refs, cfg, metric, tile, threads, obs, never, tl),
+        None => stream(queries, refs, cfg, metric, tile, threads, obs, never, null),
+    };
+    out.unwrap_or_else(|c| unreachable!("NeverCancel cancelled at tile {}", c.tiles_done))
 }
 
 #[cfg(test)]
@@ -546,19 +463,7 @@ mod tests {
         let queries = PointSet::uniform(24, 12, 131);
         let refs = PointSet::uniform(400, 12, 132);
         let cfg = SelectConfig::plain(QueueKind::Merge, 16);
-
-        let reg = MetricsRegistry::new();
-        let plain = knn_search_with(&queries, &refs, &cfg, Metric::SquaredEuclidean);
-        let metered_rows = knn_search_with_instrumented(
-            &queries,
-            &refs,
-            &cfg,
-            Metric::SquaredEuclidean,
-            &metered(&reg),
-        );
-        assert_eq!(metered_rows, plain, "metering must not change results");
-        // the row path holds one N-float row per worker
-        assert_eq!(reg.peak(SCRATCH_PEAK_BYTES), 400 * 4);
+        let euclid = Metric::SquaredEuclidean;
 
         let streamed_plain = knn_search_streamed_parallel(&queries, &refs, &cfg, 100, 1);
         let streamed_reg = MetricsRegistry::new();
@@ -566,13 +471,15 @@ mod tests {
             &queries,
             &refs,
             &cfg,
+            euclid,
             100,
             1,
             &metered(&streamed_reg),
         );
-        assert_eq!(streamed, streamed_plain);
-        // the streamed path holds two tile rows per worker, one per
-        // query of the pair the distance kernel fills at once
+        assert_eq!(streamed, streamed_plain, "metering must not change results");
+        assert_eq!(streamed, knn_search_with(&queries, &refs, &cfg, euclid));
+        // two tile rows per worker, one per query of the pair the
+        // distance kernel fills at once
         assert_eq!(streamed_reg.peak(SCRATCH_PEAK_BYTES), 2 * 100 * 4);
 
         let hist = |reg: &MetricsRegistry, name: &str| {
@@ -580,19 +487,17 @@ mod tests {
                 .histograms
                 .into_iter()
                 .find(|h| h.name == name)
-                .unwrap_or_else(|| panic!("missing histogram {name}"))
-                .count
+                .map_or(0, |h| h.count)
         };
-        assert_eq!(hist(&reg, "knn.query.latency_ns"), 24);
-        assert_eq!(hist(&reg, "knn.row.fill_ns"), 24);
-        assert_eq!(hist(&reg, "knn.row.select_ns"), 24);
-        assert_eq!(reg.counter(QUERIES), 24);
         // 400 refs / tile 100 = 4 tiles × 24 queries; the merge is
         // observed per query × tile too. One fill span covers a query
         // pair: 12 pairs × 4 tiles.
         assert_eq!(hist(&streamed_reg, "knn.tile.fill_ns"), 48);
         assert_eq!(hist(&streamed_reg, "knn.tile.select_ns"), 96);
         assert_eq!(hist(&streamed_reg, "knn.tile.merge_ns"), 96);
+        for unemitted in [Phase::Query, Phase::RowFill, Phase::RowSelect] {
+            assert_eq!(hist(&streamed_reg, phase_metric(unemitted)), 0);
+        }
         assert_eq!(streamed_reg.counter(QUERIES), 24);
         // each query appends its first strip whole (the bound is +∞
         // until k values are held), and the bound prunes the rest of its
@@ -608,6 +513,28 @@ mod tests {
             (24 * 16) as u64,
             "kept candidates must equal Q × k"
         );
+
+        // Every metric runs the same loop: the library entry holds one
+        // default-tile row pair (clamped to N) on its one worker.
+        for metric in [Metric::Manhattan, Metric::Cosine, Metric::NegativeDot] {
+            let reg = MetricsRegistry::new();
+            let out = knn_search_streamed_instrumented(
+                &queries,
+                &refs,
+                &cfg,
+                metric,
+                4096,
+                1,
+                &metered(&reg),
+            );
+            assert_eq!(
+                out,
+                knn_search_with(&queries, &refs, &cfg, metric),
+                "{metric:?}"
+            );
+            assert_eq!(reg.peak(SCRATCH_PEAK_BYTES), 2 * 400 * 4, "{metric:?}");
+            assert_eq!(hist(&reg, "knn.tile.merge_ns"), 24, "{metric:?}");
+        }
     }
 
     #[test]
@@ -615,66 +542,38 @@ mod tests {
         let queries = PointSet::uniform(16, 10, 135);
         let refs = PointSet::uniform(300, 10, 136);
         let cfg = SelectConfig::plain(QueueKind::Merge, 8);
-        let plain = knn_search_with(&queries, &refs, &cfg, Metric::SquaredEuclidean);
+        let euclid = Metric::SquaredEuclidean;
+        let plain = knn_search_streamed_parallel(&queries, &refs, &cfg, 100, 1);
 
         // disabled journal, no registry: plain path, nothing recorded
         let off = Instruments {
             journal: Some(&NullJournal),
             ..Instruments::default()
         };
-        let out =
-            knn_search_with_instrumented(&queries, &refs, &cfg, Metric::SquaredEuclidean, &off);
+        let out = knn_search_streamed_instrumented(&queries, &refs, &cfg, euclid, 100, 1, &off);
         assert_eq!(out, plain);
 
-        // live journal + registry: same results, 16 row-path records
+        // live journal + registry: tile phases sum, per-query merge
+        // stats, blocks count
         let journal = EventJournal::new(JournalConfig::default());
         let reg = MetricsRegistry::new();
         let ins = Instruments {
             registry: Some(&reg),
             journal: Some(&journal),
-            tag: "row-run",
-            ..Instruments::default()
-        };
-        let out =
-            knn_search_with_instrumented(&queries, &refs, &cfg, Metric::SquaredEuclidean, &ins);
-        assert_eq!(out, plain);
-        let snap = journal.snapshot();
-        assert_eq!(snap.len(), 16);
-        for r in &snap {
-            assert_eq!(r.tile, 0, "row path has no tile");
-            assert_eq!(r.blocks, 1);
-            assert_eq!(r.status, "ok");
-            assert_eq!(r.tag, "row-run");
-            assert!(r.total_ns > 0, "query envelope must be timed");
-            let phase_sum: u64 = r
-                .phase_ns
-                .iter()
-                .filter(|(k, _)| k != "query")
-                .map(|(_, ns)| ns)
-                .sum();
-            assert!(
-                phase_sum <= r.total_ns,
-                "row fill + select nest inside the query envelope: {r:?}"
-            );
-        }
-        assert_eq!(reg.counter(QUERIES), 16, "registry forwarding stays on");
-
-        // streamed: tile phases sum, per-query merge stats, blocks count
-        let streamed_plain = knn_search_streamed_parallel(&queries, &refs, &cfg, 100, 1);
-        let journal = EventJournal::new(JournalConfig::default());
-        let ins = Instruments {
-            journal: Some(&journal),
             tag: "stream-run",
             ..Instruments::default()
         };
-        let out = knn_search_streamed_instrumented(&queries, &refs, &cfg, 100, 1, &ins);
-        assert_eq!(out, streamed_plain);
+        let out = knn_search_streamed_instrumented(&queries, &refs, &cfg, euclid, 100, 1, &ins);
+        assert_eq!(out, plain);
+        assert_eq!(reg.counter(QUERIES), 16, "registry forwarding stays on");
         let snap = journal.snapshot();
         assert_eq!(snap.len(), 16);
         let pushes = buffered_pushes(&queries, &refs, 8, 100);
         for r in &snap {
             assert_eq!(r.tile, 100);
             assert_eq!(r.blocks, 3, "300 refs / tile 100");
+            assert_eq!(r.status, "ok");
+            assert_eq!(r.tag, "stream-run");
             // the values appended below the running bound
             assert_eq!(r.merge_push, pushes[r.query as usize]);
             assert_eq!(r.merge_push - r.merge_reject, 8, "kept = k");
@@ -701,6 +600,7 @@ mod tests {
                 &queries,
                 &refs,
                 &cfg,
+                Metric::SquaredEuclidean,
                 100,
                 threads,
                 &metered(&reg),
@@ -744,7 +644,9 @@ mod tests {
                 tag: "par-run",
                 ..Instruments::default()
             };
-            let out = knn_search_streamed_instrumented(&queries, &refs, &cfg, 100, threads, &ins);
+            let euclid = Metric::SquaredEuclidean;
+            let out =
+                knn_search_streamed_instrumented(&queries, &refs, &cfg, euclid, 100, threads, &ins);
             assert_eq!(out, one, "threads {threads}");
             let snap = journal.snapshot();
             assert_eq!(snap.len(), 40, "one record per query");
@@ -757,11 +659,13 @@ mod tests {
                 assert_eq!(r.merge_push - r.merge_reject, 8);
                 assert_eq!(r.status, "ok");
                 assert!(r.total_ns > 0, "tile phases must be timed");
-                let phase_sum: u64 = r.phase_ns.iter().map(|(_, ns)| ns).sum();
-                assert_eq!(
-                    phase_sum, r.total_ns,
-                    "streamed total is the sum of its tile phases"
+                // Every query's cuts and final sort are its own span.
+                assert!(
+                    r.phase_ns.iter().any(|(k, _)| k == phases::TILE_MERGE),
+                    "threads {threads}: {r:?}"
                 );
+                let phase_sum: u64 = r.phase_ns.iter().map(|(_, ns)| ns).sum();
+                assert_eq!(phase_sum, r.total_ns, "the total is fill + select + merge");
             }
         }
     }
@@ -781,7 +685,8 @@ mod tests {
                 tag: "split-run",
                 ..Instruments::default()
             };
-            knn_search_streamed_instrumented(&queries, &refs, &cfg, 100, threads, &ins);
+            let euclid = Metric::SquaredEuclidean;
+            knn_search_streamed_instrumented(&queries, &refs, &cfg, euclid, 100, threads, &ins);
             let fill = |r: &QueryRecord| {
                 r.phase_ns
                     .iter()
@@ -824,7 +729,9 @@ mod tests {
             timeline: Some(&tl),
             ..Instruments::default()
         };
-        let out = knn_search_streamed_instrumented(queries, &refs, &cfg, 100, threads, &ins);
+        let euclid = Metric::SquaredEuclidean;
+        let out =
+            knn_search_streamed_instrumented(queries, &refs, &cfg, euclid, 100, threads, &ins);
         assert_eq!(out, plain, "timeline recording must not change results");
 
         let report = tl.report();
@@ -874,30 +781,6 @@ mod tests {
     }
 
     #[test]
-    fn row_path_timeline_is_one_service_span() {
-        let queries = PointSet::uniform(20, 10, 147);
-        let refs = PointSet::uniform(200, 10, 148);
-        let cfg = SelectConfig::plain(QueueKind::Merge, 8);
-        let rec = TimelineRecorder::new(1);
-        let tl = TimelineObserver::new(&rec);
-        let ins = Instruments {
-            timeline: Some(&tl),
-            ..Instruments::default()
-        };
-        let out =
-            knn_search_with_instrumented(&queries, &refs, &cfg, Metric::SquaredEuclidean, &ins);
-        assert_eq!(
-            out,
-            knn_search_with(&queries, &refs, &cfg, Metric::SquaredEuclidean)
-        );
-        let report = tl.report();
-        let spans = &report.lanes[0].spans;
-        assert_eq!(spans.len(), 1, "one service span, no block claims");
-        assert_eq!(spans[0].kind, SpanKind::Service);
-        assert!(report.lanes[0].busy_ns > 0, "the service span is busy time");
-    }
-
-    #[test]
     fn journal_records_carry_the_owning_worker() {
         let queries = PointSet::uniform(130, 10, 145);
         let refs = PointSet::uniform(300, 10, 146);
@@ -911,7 +794,15 @@ mod tests {
             tag: "tl-run",
             ..Instruments::default()
         };
-        knn_search_streamed_instrumented(&queries, &refs, &cfg, 100, 4, &ins);
+        knn_search_streamed_instrumented(
+            &queries,
+            &refs,
+            &cfg,
+            Metric::SquaredEuclidean,
+            100,
+            4,
+            &ins,
+        );
         let snap = journal.snapshot();
         assert_eq!(snap.len(), 130);
         assert!(snap.iter().all(|r| (r.worker as usize) < 4));

@@ -1,25 +1,28 @@
 //! End-to-end k-NN search: distance phase + k-selection phase.
 //!
-//! * [`knn_search`] — the native library entry point: real computation on
-//!   the host, parallel over queries with one reused distance-row scratch
-//!   per worker. This is what a downstream user of the crate calls.
-//! * [`knn_search_streamed_parallel`] — the tile-streamed native
-//!   pipeline: workers claim query *blocks* from a shared cursor and,
-//!   per reference tile, fill the distance rows of a query pair into
-//!   two reused `tile`-length scratch rows, then scan each row into
-//!   that query's [`kselect::TopK`]: the values below the query's
-//!   running k-th distance go into one per-worker candidate buffer,
-//!   which is cut back to k whenever it fills. Each query's k best are
-//!   sorted once, after its last tile. The full Q×N matrix is never
-//!   materialised, so peak distance memory is O(workers·tile) instead
-//!   of O(Q·N). Distances are bit-for-bit those of [`knn_search`], and
-//!   the neighbors are the k smallest by `(dist, id)` — a full sort of
-//!   the row, the lowest id winning a tie — identical at any tile size
-//!   and thread count, whatever the [`SelectConfig`] beyond its `k`.
-//!   One worker runs inline on the caller's thread.
+//! Every native entry runs one loop, the tile-streamed search:
+//!
+//! * [`knn_search`] / [`knn_search_with`] — the library entry points a
+//!   downstream user calls: that loop at
+//!   [`block::DEFAULT_STREAM_TILE`] on one worker, under any
+//!   [`Metric`].
+//! * [`knn_search_streamed_parallel`] — the same loop on `threads`
+//!   workers with a caller-chosen tile. Workers claim query *blocks*
+//!   from a shared cursor and, per reference tile, fill the distance
+//!   rows of a query pair into two reused `tile`-length scratch rows,
+//!   then scan each row into that query's [`kselect::TopK`]: the values
+//!   below the query's running k-th distance go into one per-worker
+//!   candidate buffer, which is cut back to k whenever it fills. Each
+//!   query's k best are sorted once, after its last tile. The full Q×N
+//!   matrix is never materialised, so peak distance memory is
+//!   O(workers·tile) instead of O(Q·N). The neighbors are the k
+//!   smallest by `(dist, id)` — a full sort of the row, the lowest id
+//!   winning a tie — identical for every entry, tile size and thread
+//!   count, whatever the [`SelectConfig`] beyond its `k`. One worker
+//!   runs inline on the caller's thread.
 //!   [`knn_search_streamed_parallel_timelined`] is the same loop with
 //!   observer, cancellation and timeline hooks; `knn::metered` builds
-//!   every instrumented streamed search on it.
+//!   every instrumented search on it.
 //! * [`gpu_knn`] — the simulated pipeline the experiments use: distances
 //!   are computed natively (they are *data*), the distance kernel's cost
 //!   is charged analytically, and k-selection runs for real on the SIMT
@@ -40,25 +43,28 @@ use kselect::gpu::{
     GpuResilience, GpuResilientSelect, KernelCounters, SearchReport,
 };
 use kselect::types::Neighbor;
-use kselect::{Candidates, KnnError, SelectConfig, Selector, TopK};
-use rayon::prelude::*;
+use kselect::{Candidates, KnnError, SelectConfig, TopK};
 use simt::{Metrics, TimingModel};
 use trace::{NullTimeline, TimelineHooks};
 
 use crate::dataset::PointSet;
-use crate::distance::{block, gpu_distance_metrics};
+use crate::distance::{block, clamp_non_finite, gpu_distance_metrics};
 use crate::metric::Metric;
 use crate::pcie::{self, PcieReport};
 
 /// A phase of the native (wall-clock) pipeline, named for observers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Phase {
-    /// One query end to end (distance row + selection) in
-    /// [`knn_search_with`].
+    /// One query end to end on the former row path. No pipeline emits
+    /// it since [`knn_search_with`] runs the streamed loop, which
+    /// reports the `Tile*` phases; it stays so observers that match it
+    /// by name keep compiling.
     Query,
-    /// Distance-row fill of one query in [`knn_search_with`].
+    /// Distance-row fill of one query on the former row path. Not
+    /// emitted; kept for the same reason as [`Phase::Query`].
     RowFill,
-    /// k-selection over one query's full row in [`knn_search_with`].
+    /// k-selection over one query's full row on the former row path.
+    /// Not emitted; kept for the same reason as [`Phase::Query`].
     RowSelect,
     /// Distance fill of one query pair (or an odd last query) × one
     /// reference tile in [`knn_search_streamed_parallel_timelined`].
@@ -122,9 +128,8 @@ pub trait PhaseObserver: Sync {
     /// [`PhaseObserver::merger_stats`]).
     #[inline]
     fn query_merger_stats(&self, _qi: usize, _pushed: u64, _rejected: u64) {}
-    /// Which pool worker serviced query `qi`. Fired once per query by
-    /// the streamed pipeline (never by the row path, whose implied
-    /// worker is 0); the journal records it on the query's record.
+    /// Which pool worker serviced query `qi`. Fired once per query;
+    /// the journal records it on the query's record.
     #[inline]
     fn query_worker(&self, _qi: usize, _worker: usize) {}
 }
@@ -190,18 +195,23 @@ pub struct Cancelled {
 }
 
 /// Native k-NN search: for each query, the k nearest references by
-/// squared Euclidean distance, sorted ascending.
+/// squared Euclidean distance, sorted ascending by `(dist, id)`.
 pub fn knn_search(queries: &PointSet, refs: &PointSet, cfg: &SelectConfig) -> Vec<Vec<Neighbor>> {
     knn_search_with(queries, refs, cfg, Metric::SquaredEuclidean)
 }
 
 /// [`knn_search`] under an arbitrary [`crate::metric::Metric`].
 ///
-/// Parallel over queries; each worker reuses one distance-row scratch
-/// buffer across all its queries (`map_init`), so the search allocates
-/// O(workers·N) — not O(Q·N) and not one fresh `Vec` per query. Squared
-/// Euclidean rows go through the GEMM-decomposed row primitive with the
-/// reference norms hoisted out of the query loop.
+/// The streamed loop of [`knn_search_streamed_parallel_timelined`] at
+/// [`block::DEFAULT_STREAM_TILE`] on one worker, so the neighbors are
+/// those of every other native entry at any tile and thread count.
+/// Squared Euclidean rows go through the GEMM-decomposed pair fill with
+/// the norms hoisted out of the tile loop; the other metrics fill each
+/// row with [`Metric::distance`], non-finite values clamped to `+∞`.
+///
+/// # Panics
+/// When `cfg.k` exceeds the number of references, or the point sets
+/// disagree on dimensionality.
 pub fn knn_search_with(
     queries: &PointSet,
     refs: &PointSet,
@@ -211,11 +221,9 @@ pub fn knn_search_with(
     knn_search_with_observed(queries, refs, cfg, metric, &NullObserver)
 }
 
-/// [`knn_search_with`] with [`PhaseObserver`] hooks: per-query
-/// end-to-end latency ([`Phase::Query`]) wrapping the row fill
-/// ([`Phase::RowFill`]) and selection ([`Phase::RowSelect`]), plus the
-/// per-worker row-scratch bytes. Results are identical to the
-/// unobserved path.
+/// [`knn_search_with`] with [`PhaseObserver`] hooks: the per query ×
+/// tile fill, select and merge spans, the worker's scratch bytes and
+/// the merge totals. Results are identical to the unobserved path.
 pub fn knn_search_with_observed<O: PhaseObserver>(
     queries: &PointSet,
     refs: &PointSet,
@@ -223,46 +231,9 @@ pub fn knn_search_with_observed<O: PhaseObserver>(
     metric: Metric,
     obs: &O,
 ) -> Vec<Vec<Neighbor>> {
-    assert!(cfg.k <= refs.len(), "k exceeds the number of references");
-    assert_eq!(queries.dim(), refs.dim(), "dimension mismatch");
-    let n = refs.len();
-    obs.scratch_bytes((n * core::mem::size_of::<f32>()) as u64);
-    let ref_norms = match metric {
-        Metric::SquaredEuclidean => block::norms(refs),
-        _ => Vec::new(),
-    };
-    (0..queries.len())
-        .into_par_iter()
-        .map_init(
-            || (vec![0.0f32; n], Selector::new(*cfg)),
-            |(dists, selector), qi| {
-                obs.timed_q(Phase::Query, qi, || {
-                    let qp = queries.point(qi);
-                    obs.timed_q(Phase::RowFill, qi, || {
-                        if metric == Metric::SquaredEuclidean {
-                            block::fill_row_range(
-                                qp,
-                                crate::distance::squared_norm(qp),
-                                refs,
-                                &ref_norms,
-                                0,
-                                dists,
-                            );
-                        } else {
-                            for (ri, d) in dists.iter_mut().enumerate() {
-                                *d = crate::distance::clamp_non_finite(
-                                    metric.distance(qp, refs.point(ri)),
-                                );
-                            }
-                        }
-                    });
-                    obs.timed_q(Phase::RowSelect, qi, || {
-                        selector.select(dists, f32::INFINITY)
-                    })
-                })
-            },
-        )
-        .collect()
+    let (tile, never, null) = (block::DEFAULT_STREAM_TILE, &NeverCancel, &NullTimeline);
+    let out = stream(queries, refs, cfg, metric, tile, 1, obs, never, null);
+    out.unwrap_or_else(|c| unreachable!("NeverCancel cancelled at tile {}", c.tiles_done))
 }
 
 /// Resolve a caller-facing thread-count request: `0` means "auto"
@@ -276,9 +247,9 @@ pub fn resolve_threads(threads: usize) -> usize {
     }
 }
 
-/// Tile-streamed native k-NN search on `threads` OS threads (`0` =
-/// auto, see [`resolve_threads`]): exact results of [`knn_search`]
-/// without ever materialising the Q×N distance matrix. See
+/// Tile-streamed native k-NN search by squared Euclidean distance on
+/// `threads` OS threads (`0` = auto, see [`resolve_threads`]), never
+/// materialising the Q×N distance matrix. See
 /// [`knn_search_streamed_parallel_timelined`] for the schedule.
 ///
 /// Use [`block::DEFAULT_STREAM_TILE`] for `tile` when in doubt. The
@@ -286,9 +257,7 @@ pub fn resolve_threads(threads: usize) -> usize {
 /// ordered by `(dist, id)`: under exact ties at the k-th distance the
 /// lowest ids are kept. Only `cfg.k` is read; every queue kind, with or
 /// without buffering and Hierarchical Partition, returns the same
-/// neighbors. [`knn_search`] selects through the configured variant, so
-/// under such ties its Heap and Merge queues and its Hierarchical
-/// Partition may keep other (equally near) ids.
+/// neighbors, and so does [`knn_search`].
 /// `+∞` distances are never returned: with fewer than k finite
 /// distances a query gets fewer than k neighbors.
 ///
@@ -315,8 +284,10 @@ pub fn knn_search_streamed_parallel(
     .unwrap_or_else(|c| unreachable!("NeverCancel cancelled at tile {}", c.tiles_done))
 }
 
-/// The streamed pipeline — the one implementation every streamed entry
-/// point runs.
+/// [`knn_search_streamed_parallel`] with observer, cancellation and
+/// timeline hooks: the streamed pipeline, the one loop every native
+/// entry runs (by squared Euclidean distance here; [`knn_search_with`]
+/// and `knn::metered` run it under any [`Metric`]).
 ///
 /// Workers claim [`block::QUERY_BLOCK`]-sized query blocks from a shared
 /// atomic cursor (a fast worker takes the next block as soon as it
@@ -327,8 +298,11 @@ pub fn knn_search_streamed_parallel(
 /// the pair), then each query in turn is pushed into its [`TopK`]
 /// ([`Phase::TileSelect`]) and settled ([`Phase::TileMerge`]) before
 /// the next pair reuses the rows. An odd last query is filled alone.
-/// Every distance is bit-equal to the single-row fill's, so pairing
-/// changes no neighbor.
+/// Squared Euclidean rows come from the GEMM-decomposed pair kernel,
+/// every distance bit-equal to the single-row fill's, so pairing
+/// changes no neighbor. Any other `metric` fills each row with
+/// [`Metric::distance`], non-finite values clamped to `+∞`; the
+/// [`TopK`] key ranks negative distances too.
 ///
 /// The push is a branch-free scan of the row: every value below the
 /// query's running k-th distance is appended to the worker's one
@@ -381,6 +355,24 @@ pub fn knn_search_streamed_parallel_timelined<
     token: &C,
     tl: &T,
 ) -> Result<Vec<Vec<Neighbor>>, Cancelled> {
+    let metric = Metric::SquaredEuclidean;
+    stream(queries, refs, cfg, metric, tile, threads, obs, token, tl)
+}
+
+/// [`knn_search_streamed_parallel_timelined`] under any `metric`: the
+/// loop itself.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn stream<O: PhaseObserver, C: CancelToken, T: TimelineHooks>(
+    queries: &PointSet,
+    refs: &PointSet,
+    cfg: &SelectConfig,
+    metric: Metric,
+    tile: usize,
+    threads: usize,
+    obs: &O,
+    token: &C,
+    tl: &T,
+) -> Result<Vec<Vec<Neighbor>>, Cancelled> {
     use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
     use std::sync::Mutex;
 
@@ -390,8 +382,12 @@ pub fn knn_search_streamed_parallel_timelined<
     let q = queries.len();
     let n = refs.len();
     let tile = tile.min(n.max(1));
-    let ref_norms = block::norms(refs);
-    let q_norms = block::norms(queries);
+    let euclidean = metric == Metric::SquaredEuclidean;
+    let (ref_norms, q_norms) = if euclidean {
+        (block::norms(refs), block::norms(queries))
+    } else {
+        (Vec::new(), Vec::new())
+    };
     let tiles_total = n.div_ceil(tile);
     let block_len = block::QUERY_BLOCK.min(q.max(1));
     let blocks_total = q.div_ceil(block_len);
@@ -452,7 +448,10 @@ pub fn knn_search_streamed_parallel_timelined<
                     // `row1` is empty when blocks hold one query.
                     let (row0, row1) = (&mut row0[..len], row1.get_mut(..len).unwrap_or_default());
                     obs.timed_qs(Phase::TileFill, qs.clone(), || {
-                        if qs.len() == 2 {
+                        if !euclidean {
+                            let rows = [&mut *row0, &mut *row1];
+                            fill_rows_with(metric, queries, qs.clone(), refs, r0, rows)
+                        } else if qs.len() == 2 {
                             block::fill_row_pair(
                                 [queries.point(pair), queries.point(pair + 1)],
                                 [q_norms[pair], q_norms[pair + 1]],
@@ -476,7 +475,7 @@ pub fn knn_search_streamed_parallel_timelined<
                         obs.timed_q(Phase::TileSelect, qi, || {
                             top.push(&mut cand, row, r0 as u32)
                         });
-                        obs.timed(Phase::TileMerge, || {
+                        obs.timed_q(Phase::TileMerge, qi, || {
                             top.settle(&mut cand);
                             if last {
                                 *o = top.finish();
@@ -520,6 +519,27 @@ pub fn knn_search_streamed_parallel_timelined<
     let mut blocks = done.into_inner().unwrap_or_else(|e| e.into_inner());
     blocks.sort_unstable_by_key(|&(b, _)| b);
     Ok(blocks.into_iter().flat_map(|(_, v)| v).collect())
+}
+
+/// Fill the row of each query in `qs` (the first `qs.len()` of `rows`)
+/// with its `metric` distances to the references from `r0` on,
+/// non-finite values clamped to `+∞`. Kept out of line so that the
+/// squared Euclidean loop around it stays small.
+#[inline(never)]
+fn fill_rows_with(
+    metric: Metric,
+    queries: &PointSet,
+    qs: Range<usize>,
+    refs: &PointSet,
+    r0: usize,
+    rows: [&mut [f32]; 2],
+) {
+    for (qi, row) in qs.zip(rows) {
+        let qp = queries.point(qi);
+        for (d, ri) in row.iter_mut().zip(r0..) {
+            *d = clamp_non_finite(metric.distance(qp, refs.point(ri)));
+        }
+    }
 }
 
 /// Result of the simulated GPU k-NN pipeline.
@@ -902,6 +922,7 @@ pub fn gpu_knn_resilient_journaled<J: trace::Journal>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval::ground_truth;
     use kselect::QueueKind;
 
     #[test]
@@ -924,9 +945,9 @@ mod tests {
     fn streamed_matches_materialized_across_tiles() {
         let queries = PointSet::uniform(30, 12, 118);
         let refs = PointSet::uniform(500, 12, 119);
+        let full = ground_truth(&queries, &refs, 16, Metric::SquaredEuclidean);
         for kind in [QueueKind::Insertion, QueueKind::Merge, QueueKind::Heap] {
             let cfg = SelectConfig::plain(kind, 16);
-            let full = knn_search(&queries, &refs, &cfg);
             // Tiles straddling k, tile-edge remainders, and tile > N.
             for tile in [7usize, 16, 100, 499, 500, 4096] {
                 let streamed = knn_search_streamed_parallel(&queries, &refs, &cfg, tile, 1);
@@ -964,7 +985,7 @@ mod tests {
         let refs = PointSet::uniform(1000, 12, 227);
         for k in [8usize, 32, 128, 512] {
             let cfg = SelectConfig::optimized(QueueKind::Merge, k);
-            let full = knn_search(&queries, &refs, &cfg);
+            let full = ground_truth(&queries, &refs, k, Metric::SquaredEuclidean);
             for tile in [7usize, k - 1, k, 100, 499, 4096] {
                 for threads in [1usize, 2, 8] {
                     let streamed =
@@ -979,44 +1000,28 @@ mod tests {
     fn optimized_streamed_is_exact_under_ties_at_the_kth_value() {
         // 340 distinct points, each three times: every distance comes in
         // three tied copies spread over different tiles, and no k below
-        // is a multiple of 3, so the k-th value is tied. The distances
-        // are those of the materialized search, and of the copies tied
-        // at the k-th value the lowest ids are kept.
+        // is a multiple of 3, so the k-th value is tied. Of the copies
+        // tied at the k-th value the lowest ids are kept, as in the
+        // ground truth's full `(dist, id)` sort.
         let base = PointSet::uniform(340, 6, 228);
         let flat: Vec<f32> = (0..1020)
             .flat_map(|i| base.point(i % 340).to_vec())
             .collect();
         let refs = PointSet::from_flat(flat, 6);
         let queries = PointSet::uniform(40, 6, 229);
-        let ref_norms = block::norms(&refs);
-        let mut row = vec![0.0f32; refs.len()];
+        let bits = |rows: &[Vec<Neighbor>]| {
+            rows.iter()
+                .map(|ns| ns.iter().map(|n| (n.dist.to_bits(), n.id)).collect())
+                .collect::<Vec<Vec<_>>>()
+        };
         for k in [8usize, 32, 128, 512] {
             let cfg = SelectConfig::optimized(QueueKind::Merge, k);
-            let full = knn_search(&queries, &refs, &cfg);
+            let full = bits(&ground_truth(&queries, &refs, k, Metric::SquaredEuclidean));
             for tile in [7usize, k - 1, k, 100, 499, 4096] {
                 for threads in [1usize, 2, 8] {
                     let streamed =
                         knn_search_streamed_parallel(&queries, &refs, &cfg, tile, threads);
-                    for (qi, (got, want)) in streamed.iter().zip(&full).enumerate() {
-                        let at = format!("k {k} tile {tile} threads {threads} query {qi}");
-                        let dists = |ns: &[Neighbor]| {
-                            ns.iter().map(|n| n.dist.to_bits()).collect::<Vec<_>>()
-                        };
-                        assert_eq!(dists(got), dists(want), "{at}");
-                        let qp = queries.point(qi);
-                        let norm_q = crate::distance::squared_norm(qp);
-                        block::fill_row_range(qp, norm_q, &refs, &ref_norms, 0, &mut row);
-                        // The lowest ids win the tie at the k-th value.
-                        let mut order: Vec<u32> = (0..row.len() as u32).collect();
-                        order.sort_by(|&a, &b| {
-                            row[a as usize].total_cmp(&row[b as usize]).then(a.cmp(&b))
-                        });
-                        let ids: Vec<u32> = got.iter().map(|n| n.id).collect();
-                        assert_eq!(ids, order[..k], "{at}");
-                        for n in got {
-                            assert_eq!(row[n.id as usize].to_bits(), n.dist.to_bits(), "{at}");
-                        }
-                    }
+                    assert_eq!(bits(&streamed), full, "k {k} tile {tile} threads {threads}");
                 }
             }
         }

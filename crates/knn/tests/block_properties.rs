@@ -12,9 +12,8 @@
 //!    exactly the `(dist, id)` sort of each full distance row, cut at
 //!    k, for every queue kind at 1, 2 and 4 threads and arbitrary
 //!    Q/N/k/tile, including tiles smaller than k, tiles larger than N
-//!    and duplicated distances (tie-breaking); and the same neighbors
-//!    as the materialized `knn_search` under non-finite coordinates
-//!    (overflow to +inf).
+//!    and duplicated distances (tie-breaking), also under non-finite
+//!    coordinates (overflow to +inf).
 //! 3. The runtime-dispatched SIMD row kernel (`simd::fill_rows`) must
 //!    reproduce both the portable 8-accumulator kernel and the scalar
 //!    reference bit-for-bit at the edge dimensions {1, 7, 8, 9, 127,
@@ -27,12 +26,12 @@
 //!    schedule moves blocks between workers, never the per-query merge
 //!    order.
 //! 5. The streamed loop's paired row fill (two queries per kernel call,
-//!    a lone query on odd counts) must return `knn_search`'s neighbors
-//!    byte for byte.
+//!    a lone query on odd counts) must return the sort oracle's
+//!    neighbors byte for byte.
 
 use knn::{
-    block, clamp_non_finite, knn_search, knn_search_streamed_parallel, simd, squared_distance,
-    squared_norm, PointSet,
+    block, clamp_non_finite, knn_search_streamed_parallel, simd, squared_distance, squared_norm,
+    PointSet,
 };
 use kselect::{QueueKind, SelectConfig};
 use proptest::prelude::*;
@@ -149,7 +148,8 @@ proptest! {
 
     /// Non-finite inputs: coordinates at f32::MAX overflow the squared
     /// norm to +inf; the clamp_non_finite policy must apply identically
-    /// on the streamed and materialized paths.
+    /// on the streamed path and the materialized kernel the oracle
+    /// sorts.
     #[test]
     fn streamed_matches_materialized_non_finite(
         poison in proptest::collection::vec(0usize..64, 4),
@@ -162,9 +162,8 @@ proptest! {
         }
         let refs = PointSet::from_flat(flat, 4);
         let cfg = SelectConfig::optimized(QueueKind::Merge, 8);
-        let full = knn_search(&qs, &refs, &cfg);
         let streamed = knn_search_streamed_parallel(&qs, &refs, &cfg, tile, 1);
-        prop_assert_eq!(streamed, full);
+        prop_assert_eq!(bits(&streamed), sort_oracle(&qs, &refs, 8));
     }
 
     /// The dispatched SIMD row kernel, the portable kernel and the
@@ -341,9 +340,10 @@ proptest! {
 /// one-query blocks take the single-row fill. At query counts that
 /// produce each case (1: a one-query block; 31 and 65: an odd last
 /// query; 33: a full block then a one-query block), every tile length
-/// and thread count must return `knn_search`'s neighbors byte for byte.
+/// and thread count must return the sort oracle's neighbors byte for
+/// byte.
 #[test]
-fn paired_streamed_fill_is_byte_identical_to_knn_search() {
+fn paired_streamed_fill_is_byte_identical_to_the_sort_oracle() {
     let refs = PointSet::uniform(150, 13, 41);
     for q in [1usize, 31, 33, 65] {
         let queries = PointSet::uniform(q, 13, 40 + q as u64);
@@ -351,7 +351,7 @@ fn paired_streamed_fill_is_byte_identical_to_knn_search() {
             SelectConfig::plain(QueueKind::Insertion, 5),
             SelectConfig::optimized(QueueKind::Merge, 8),
         ] {
-            let full = bits(&knn_search(&queries, &refs, &cfg));
+            let full = sort_oracle(&queries, &refs, cfg.k);
             for tile in [1usize, 3, 7, 100] {
                 for threads in [1usize, 2] {
                     let streamed =
@@ -395,7 +395,8 @@ mod journaled {
             tag: "prop",
             ..Instruments::default()
         };
-        knn_search_streamed_instrumented(queries, refs, cfg, tile, threads, &ins);
+        let euclid = knn::Metric::SquaredEuclidean;
+        knn_search_streamed_instrumented(queries, refs, cfg, euclid, tile, threads, &ins);
         journal.snapshot()
     }
 

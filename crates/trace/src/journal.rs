@@ -49,17 +49,21 @@ pub const SCHEMA_VERSION: &str = "1.1";
 /// Phase-name keys the knn pipelines record under. The journal accepts
 /// any name; these are the ones `knn-cli report` knows how to group.
 pub mod phases {
-    /// One query end to end on the materialized row path.
+    /// One query end to end on the former materialized row path. No
+    /// current pipeline records it; older journals may carry it.
     pub const QUERY: &str = "query";
-    /// Distance-row fill (materialized path).
+    /// Distance-row fill (former materialized path, as [`QUERY`]).
     pub const ROW_FILL: &str = "row_fill";
-    /// Full-row k-selection (materialized path).
+    /// Full-row k-selection (former materialized path, as [`QUERY`]).
     pub const ROW_SELECT: &str = "row_select";
     /// Distance fill of one reference tile (streamed path, summed).
     pub const TILE_FILL: &str = "tile_fill";
     /// Per-tile threshold scan into the top-k buffer (streamed path,
     /// summed).
     pub const TILE_SELECT: &str = "tile_select";
+    /// Per-tile cut of the top-k buffer back to k, plus the final sort
+    /// on the query's last tile (streamed path, summed).
+    pub const TILE_MERGE: &str = "tile_merge";
     /// Distance kernel share (simulated resilient pipeline).
     pub const DISTANCE: &str = "distance";
     /// Selection kernel share (simulated resilient pipeline).
@@ -89,7 +93,8 @@ pub struct QueryRecord {
     pub queue: String,
     /// Free-form run context (campaign seed, bench label; may be empty).
     pub tag: String,
-    /// Streaming tile size (0 on the materialized row path).
+    /// Streaming tile size (0 on the simulated pipelines, which have
+    /// no tiles).
     pub tile: u64,
     /// End-to-end latency, nanoseconds (wall-clock on native paths,
     /// simulated on the resilient pipeline).

@@ -81,7 +81,7 @@ pub enum SpanKind {
     /// One reference-tile walk inside a block (fill + select + merge).
     Tile,
     /// One serviced unit outside the block scheduler: a request in the
-    /// serving engine, or a whole run of the materialized row path.
+    /// serving engine, or one configuration of `knn-cli bench`.
     Service,
     /// Time a request spent waiting in the admission queue.
     QueueWait,
