@@ -26,8 +26,9 @@
 //!   is written;
 //! * `*_peak_distance_bytes` — the distance-buffer working set of each
 //!   path: Q·N·4 materialized; streamed, the `knn.scratch.peak_bytes`
-//!   the pipeline reports on an untimed metered run (two tile rows per
-//!   worker, one per query of the pair the distance kernel fills);
+//!   the pipeline reports on an untimed metered run (four tile rows per
+//!   worker, one per query of the quad the distance kernel fills, plus
+//!   the kernel's `4 × dim`-float query pack);
 //! * with `--sweep-tiles`, `tile_sweep[]` — streamed QPS per tile size
 //!   in {1024, 2048, 4096, 8192} (clamped to N), plus `best_tile`, the
 //!   sweep's QPS argmax. Each tile length is timed exactly once per
@@ -35,7 +36,8 @@
 //!   tile reference the *same* measurement, so the two places can never
 //!   disagree (they used to be timed separately and drifted apart);
 //! * `threads` / `simd_dispatch` — the resolved worker count and the
-//!   SIMD kernel the runtime dispatch picked (`avx2+fma` or `scalar8`),
+//!   SIMD kernel the runtime dispatch picked (`avx512`, `avx2+fma` or
+//!   `scalar8`),
 //!   so snapshots from differently-pinned CI runs are distinguishable;
 //! * `pipeline.utilization` / `pipeline.imbalance` — worker-pool busy
 //!   fraction and `max_busy/mean_busy` of one *instrumented* streamed
@@ -98,7 +100,8 @@ struct Report {
     tile: usize,
     /// Resolved worker-thread count the streamed pipeline ran with.
     threads: usize,
-    /// SIMD kernel the runtime dispatch picked (`avx2+fma` / `scalar8`).
+    /// SIMD kernel the runtime dispatch picked (`avx512` / `avx2+fma` /
+    /// `scalar8`).
     simd_dispatch: String,
     distance: DistanceReport,
     pipeline: PipelineReport,

@@ -285,7 +285,9 @@ pub fn parse_fault_plan(spec: &str) -> Result<FaultPlanArgs, String> {
 }
 
 /// `search --refs FILE --queries FILE --dim D --k K [--metric M]
-/// [--queue Q] [--threads T] [--json] [SINKS]`
+/// [--threads T] [--json] [SINKS]`. There is no `--queue`: the native
+/// search keeps each query's k best by `(distance, id)` whatever the
+/// queue, so the flag would change nothing.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SearchArgs {
     pub refs: PathBuf,
@@ -293,7 +295,6 @@ pub struct SearchArgs {
     pub dim: usize,
     pub k: usize,
     pub metric: Metric,
-    pub queue: QueueKind,
     pub threads: usize,
     pub json: bool,
     pub sinks: Sinks,
@@ -315,7 +316,6 @@ impl SearchArgs {
                     _ => None,
                 })?
                 .unwrap_or(Metric::SquaredEuclidean),
-            queue: take_queue(f)?,
             threads: f.or("threads", 1)?,
             json: f.switch("json"),
             sinks: Sinks::take(f)?,
@@ -626,7 +626,7 @@ USAGE:
   knn-cli generate --count N --dim D [--seed S] --out FILE
   knn-cli search   --refs FILE --queries FILE --dim D --k K
                    [--metric euclidean|manhattan|cosine|dot]
-                   [--queue merge|heap|insertion] [--threads T] [--json]
+                   [--threads T] [--json]
                    [--metrics-out metrics.txt] [--timeline-out t.json]
                    [--journal-out j.jsonl] [--journal-sample P]
                    [--journal-exemplars E]
@@ -691,10 +691,11 @@ journaled outcome; the run exits 2 if any request goes unaccounted.
 of the native distance/select pipeline: 1 (default) runs on the calling
 thread, 0 auto-detects (RAYON_NUM_THREADS, else available cores).
 Every metric runs the one streamed pipeline, and results are identical
-at every thread count and for every --queue: the k smallest by
-(distance, id), the lowest id winning a tie. Instrumented commands report
-the active SIMD kernel (`simd_dispatch`: avx2+fma or scalar8; override
-with KNN_SIMD=scalar) alongside the thread count.
+at every thread count: the k smallest by (distance, id), the lowest id
+winning a tie. That rule does not depend on a queue, so `search` takes
+no --queue. Instrumented commands report the active SIMD kernel
+(`simd_dispatch`: avx512, avx2+fma or scalar8; override with
+KNN_SIMD=scalar) alongside the thread count.
 
 --journal-out (on search/bench/stats/faults/serve) records one structured
 event per query — per-phase latency, merge counters, retry/fallback
@@ -754,14 +755,9 @@ mod tests {
         .unwrap();
         match c {
             Command::Search(SearchArgs {
-                metric,
-                queue,
-                json,
-                k,
-                ..
+                metric, json, k, ..
             }) => {
                 assert_eq!(metric, Metric::SquaredEuclidean);
-                assert_eq!(queue, QueueKind::Merge);
                 assert!(!json);
                 assert_eq!(k, 5);
             }
@@ -783,20 +779,12 @@ mod tests {
             "5",
             "--metric",
             "cosine",
-            "--queue",
-            "heap",
             "--json",
         ]))
         .unwrap();
         match c {
-            Command::Search(SearchArgs {
-                metric,
-                queue,
-                json,
-                ..
-            }) => {
+            Command::Search(SearchArgs { metric, json, .. }) => {
                 assert_eq!(metric, Metric::Cosine);
-                assert_eq!(queue, QueueKind::Heap);
                 assert!(json);
             }
             _ => panic!("wrong command"),

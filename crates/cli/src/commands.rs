@@ -285,7 +285,8 @@ fn run_search(a: SearchArgs) -> i32 {
             return 1;
         }
     }
-    let cfg = SelectConfig::optimized(a.queue, a.k);
+    // The streamed loop reads only k from the config.
+    let cfg = SelectConfig::optimized(QueueKind::Merge, a.k);
     let registry = a.sinks.metrics_out.as_ref().map(|_| MetricsRegistry::new());
     let jn = make_journal(&a.sinks.journal);
     let workers = knn::resolve_threads(a.threads);
@@ -324,12 +325,11 @@ fn run_search(a: SearchArgs) -> i32 {
         }
     } else {
         println!(
-            "{} queries × {} refs (dim {}, {metric:?}, {:?}) in {:.1} ms \
+            "{} queries × {} refs (dim {}, {metric:?}) in {:.1} ms \
              [kernel {}, threads {workers}]",
             queries.len(),
             refs.len(),
             a.dim,
-            a.queue,
             dt * 1e3,
             knn::dispatch_name(),
         );
@@ -1109,7 +1109,6 @@ mod tests {
                 dim: 8,
                 k: 5,
                 metric: Metric::SquaredEuclidean,
-                queue: QueueKind::Merge,
                 threads: 1,
                 json: true,
                 sinks: Sinks::default(),
@@ -1124,7 +1123,6 @@ mod tests {
                 dim: 8,
                 k: 500,
                 metric: Metric::SquaredEuclidean,
-                queue: QueueKind::Merge,
                 threads: 1,
                 json: false,
                 sinks: Sinks::default(),
@@ -1139,7 +1137,6 @@ mod tests {
                 dim: 8,
                 k: 0,
                 metric: Metric::SquaredEuclidean,
-                queue: QueueKind::Merge,
                 threads: 1,
                 json: false,
                 sinks: Sinks::default(),
@@ -1161,7 +1158,6 @@ mod tests {
                 dim: 8,
                 k: 5,
                 metric: Metric::SquaredEuclidean,
-                queue: QueueKind::Merge,
                 threads: 1,
                 json: false,
                 sinks: Sinks::default(),
@@ -1303,7 +1299,6 @@ mod tests {
                 dim: 8,
                 k: 5,
                 metric: Metric::SquaredEuclidean,
-                queue: QueueKind::Merge,
                 threads: 1,
                 json: false,
                 sinks: Sinks {

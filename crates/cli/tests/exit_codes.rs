@@ -45,11 +45,11 @@ fn padded_k_past_n_is_a_typed_error() {
     );
 }
 
-/// The native search reads only k, so a Merge k below the queue width
+/// The native search reads only k, so a k below the Merge queue width
 /// is not padded there: k = 3 of 5 references answers 3 neighbors per
 /// query.
 #[test]
-fn search_merge_k_below_the_queue_width_is_not_padded() {
+fn search_k_below_the_merge_queue_width_is_not_padded() {
     let dir = scratch("merge_k3");
     for (name, count) in [("refs", "5"), ("queries", "2")] {
         let out = run_in(
@@ -70,8 +70,6 @@ fn search_merge_k_below_the_queue_width_is_not_padded() {
             "4",
             "--k",
             "3",
-            "--queue",
-            "merge",
             "--json",
         ],
     );
@@ -87,6 +85,34 @@ fn search_merge_k_below_the_queue_width_is_not_padded() {
             panic!("a query's neighbors are an array");
         };
         assert_eq!(neighbors.len(), 3);
+    }
+}
+
+/// `search` used to accept `--queue` and ignore it: the native search
+/// keeps the k smallest by `(distance, id)` whatever the queue. The
+/// flag layer now rejects it before any file is read.
+#[test]
+fn search_rejects_queue_with_exit_2() {
+    for queue in ["merge", "heap", "insertion"] {
+        let out = run_in(
+            None,
+            &[
+                "search",
+                "--refs",
+                "missing-refs.f32",
+                "--queries",
+                "missing-queries.f32",
+                "--dim",
+                "4",
+                "--k",
+                "3",
+                "--queue",
+                queue,
+            ],
+        );
+        assert_eq!(out.status.code(), Some(2), "--queue {queue}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("`search` has no --queue"), "{stderr}");
     }
 }
 
@@ -241,7 +267,6 @@ const SUBCOMMANDS: &[Subcommand] = &[
         ],
         &[
             "metric",
-            "queue",
             "threads",
             "json",
             "metrics-out",

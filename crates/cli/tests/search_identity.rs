@@ -1,8 +1,7 @@
 //! `knn-cli search` answers the same whatever the thread count: on
 //! references that each appear three times (so every distance is tied
 //! three ways and the k-th usually is), `--json` output is
-//! byte-identical at `--threads 1`, `2` and `4` for every `--queue` and
-//! every `--metric`. 40 queries make two query blocks, so two or more
+//! byte-identical at `--threads 1`, `2` and `4` for every `--metric`. 40 queries make two query blocks, so two or more
 //! workers split them.
 
 use std::path::{Path, PathBuf};
@@ -48,40 +47,36 @@ fn search_json_is_byte_identical_at_any_thread_count() {
     }
     write_points(&queries, &qs);
     let (refs, queries) = (refs.to_str().unwrap(), queries.to_str().unwrap());
-    for queue in ["merge", "heap", "insertion"] {
-        for metric in ["euclidean", "manhattan", "cosine", "dot"] {
-            let run = |threads: &str| {
-                let out = Command::new(env!("CARGO_BIN_EXE_knn-cli"))
-                    .args([
-                        "search",
-                        "--refs",
-                        refs,
-                        "--queries",
-                        queries,
-                        "--dim",
-                        "4",
-                        "--k",
-                        "6",
-                        "--queue",
-                        queue,
-                        "--metric",
-                        metric,
-                        "--threads",
-                        threads,
-                        "--json",
-                    ])
-                    .output()
-                    .expect("knn-cli runs");
-                assert_eq!(out.status.code(), Some(0), "{queue} {metric} {threads}");
-                out.stdout
-            };
-            let one = run("1");
-            for threads in ["2", "4"] {
-                assert!(
-                    run(threads) == one,
-                    "--queue {queue} --metric {metric}: --threads {threads} differs from 1"
-                );
-            }
+    for metric in ["euclidean", "manhattan", "cosine", "dot"] {
+        let run = |threads: &str| {
+            let out = Command::new(env!("CARGO_BIN_EXE_knn-cli"))
+                .args([
+                    "search",
+                    "--refs",
+                    refs,
+                    "--queries",
+                    queries,
+                    "--dim",
+                    "4",
+                    "--k",
+                    "6",
+                    "--metric",
+                    metric,
+                    "--threads",
+                    threads,
+                    "--json",
+                ])
+                .output()
+                .expect("knn-cli runs");
+            assert_eq!(out.status.code(), Some(0), "{metric} {threads}");
+            out.stdout
+        };
+        let one = run("1");
+        for threads in ["2", "4"] {
+            assert!(
+                run(threads) == one,
+                "--metric {metric}: --threads {threads} differs from 1"
+            );
         }
     }
 }

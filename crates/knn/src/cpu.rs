@@ -12,8 +12,6 @@ use std::collections::BinaryHeap;
 use kselect::types::{sort_neighbors, Neighbor};
 use rayon::prelude::*;
 
-use crate::distance::block::FlatMatrix;
-
 /// `f32` wrapper ordered for max-heap use (NaN-free by construction:
 /// distances are sums of squares).
 #[derive(Clone, Copy, PartialEq)]
@@ -75,20 +73,6 @@ pub fn cpu_select_parallel(rows: &[Vec<f32>], k: usize) -> Vec<Vec<Neighbor>> {
     rows.par_iter().map(|r| heap_select(r, k)).collect()
 }
 
-/// [`cpu_select_serial`] over a flat distance matrix — no per-query row
-/// vectors anywhere.
-pub fn cpu_select_serial_flat(m: &FlatMatrix, k: usize) -> Vec<Vec<Neighbor>> {
-    (0..m.q()).map(|qi| heap_select(m.row(qi), k)).collect()
-}
-
-/// [`cpu_select_parallel`] over a flat distance matrix.
-pub fn cpu_select_parallel_flat(m: &FlatMatrix, k: usize) -> Vec<Vec<Neighbor>> {
-    (0..m.q())
-        .into_par_iter()
-        .map(|qi| heap_select(m.row(qi), k))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -121,17 +105,6 @@ mod tests {
             let yd: Vec<f32> = y.iter().map(|n| n.dist).collect();
             assert_eq!(xd, yd);
         }
-    }
-
-    #[test]
-    fn flat_variants_match_row_variants() {
-        let r = rows(20, 300, 7);
-        let flat = FlatMatrix::from_flat(r.concat(), 20, 300);
-        assert_eq!(cpu_select_serial_flat(&flat, 8), cpu_select_serial(&r, 8));
-        assert_eq!(
-            cpu_select_parallel_flat(&flat, 8),
-            cpu_select_parallel(&r, 8)
-        );
     }
 
     #[test]

@@ -9,12 +9,14 @@
 //!   monotone, so k-NN ranks are unchanged and the paper's brute-force
 //!   baseline (Garcia et al. \[3\]) does the same.
 //! * [`simd`] — runtime-dispatched SIMD microkernels for the row
-//!   primitive the blocked kernel is built from: an AVX2 vector kernel
-//!   register-blocked over four reference rows (picked when the host
-//!   supports `avx2`+`fma`), with the portable 8-accumulator scalar
-//!   kernel as fallback. Both reproduce [`dot`]'s accumulation order
-//!   bit for bit — see that module for why an actual fused
-//!   multiply-add is deliberately *not* issued.
+//!   primitive the blocked kernel is built from: an AVX-512 kernel
+//!   that fills four query rows × four reference rows per pass (picked
+//!   when the host supports `avx512f`+`avx512dq`), an AVX2 kernel
+//!   register-blocked over one or two query rows × four reference rows
+//!   (`avx2`+`fma`), and the portable 8-accumulator scalar kernel as
+//!   fallback. All reproduce [`dot`]'s accumulation order bit for bit —
+//!   see that module for why an actual fused multiply-add is
+//!   deliberately *not* issued.
 //! * [`distance_matrix`] — the legacy heap-of-rows interface, now a thin
 //!   wrapper over the blocked kernel kept for downstream compatibility.
 //! * [`gpu_distance_metrics`] — an *analytic* metrics model of the

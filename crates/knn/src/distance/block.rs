@@ -27,10 +27,13 @@
 //!
 //! Both this kernel and the tile-streamed search path
 //! ([`crate::pipeline::knn_search_streamed_parallel`]) fill rows in
-//! query pairs through [`fill_row_pair`], so each reference chunk is
-//! loaded once for two queries. The streamed path fills one pair × one
-//! reference tile at a time into two reused scratch rows, never
-//! materialising the Q×N matrix.
+//! query quads through [`simd::fill_rows_quad`], so on the AVX-512
+//! kernel each reference chunk is loaded once for four queries (once
+//! for two on AVX2). The streamed path fills one quad × one reference
+//! tile at a time into four reused scratch rows, never materialising
+//! the Q×N matrix.
+
+use std::ops::Range;
 
 use rayon::prelude::*;
 
@@ -46,9 +49,10 @@ pub const QUERY_BLOCK: usize = 32;
 pub const REF_TILE: usize = 256;
 
 /// Default reference-tile length (elements per query per chunk) of the
-/// streamed search path. Each worker's scratch is two rows of
-/// `DEFAULT_STREAM_TILE` floats — one per query of the pair the
-/// distance kernel fills at once — so 2048 keeps it at 16 KiB. Besides
+/// streamed search path. Each worker's scratch is four rows of
+/// `DEFAULT_STREAM_TILE` floats — one per query of the quad the
+/// distance kernel fills at once — so 2048 keeps it at 32 KiB (plus
+/// the kernel's [`simd::pack_len`] query pack). Besides
 /// the scan of its row, every tile costs each query a fixed O(k): its
 /// k held keys are reloaded into the worker's candidate buffer and cut
 /// back to k at the tile's end. A 2048-value tile amortises that for
@@ -161,20 +165,19 @@ pub fn fill_row_range(
     simd::fill_rows(qp, norm_q, refs, ref_norms, r0, out);
 }
 
-/// [`fill_row_range`] for two queries against the same reference range:
-/// `outs[b][j] = clamp_non_finite(‖qps[b] − refs[r0 + j]‖²)`, bit-equal
-/// to two single-row fills. See [`simd::fill_rows_pair`].
-#[inline]
-pub fn fill_row_pair(
-    qps: [&[f32]; 2],
-    norm_qs: [f32; 2],
-    refs: &PointSet,
-    ref_norms: &[f32],
-    r0: usize,
-    outs: [&mut [f32]; 2],
-) {
-    debug_assert!(r0 + outs[0].len() <= refs.len());
-    simd::fill_rows_pair(qps, norm_qs, refs, ref_norms, r0, outs);
+/// The output rows of one [`simd::fill_rows_quad`] call: rows
+/// `0, stride, 2·stride, …` of `buf`, each cut to `cols`. Slots past
+/// the end of `buf` are empty.
+pub(crate) fn quad_rows(
+    buf: &mut [f32],
+    stride: usize,
+    cols: Range<usize>,
+) -> [&mut [f32]; simd::QUAD] {
+    let mut rows = buf.chunks_mut(stride);
+    core::array::from_fn(|_| {
+        rows.next()
+            .map_or(&mut [][..], |row| &mut row[cols.clone()])
+    })
 }
 
 /// The blocked kernel: the full Q×N squared-distance matrix as a flat
@@ -208,34 +211,28 @@ pub fn squared_distances(queries: &PointSet, refs: &PointSet) -> FlatMatrix {
         // pulled into cache once per slab and reused across every query
         // row in the slab, instead of once per QUERY_BLOCK — for large
         // N that divides the reference re-read traffic by the slab's
-        // row count. Within a tile the slab's rows are filled in pairs
-        // (an odd last row alone), sharing each reference load between
-        // two queries. Fill order changes; per-pair bits do not.
+        // row count. Within a tile the slab's rows are filled in quads
+        // (the last quad may hold fewer rows), sharing each reference
+        // load between the quad's queries. Fill order changes; per-pair
+        // bits do not.
+        let mut pack = vec![0.0f32; simd::pack_len(refs.dim())];
         for r0 in (0..n).step_by(REF_TILE) {
             let cols = r0..r0 + REF_TILE.min(n - r0);
-            for (p, rows) in slab.chunks_mut(2 * n.max(1)).enumerate() {
-                let qa = q0 + 2 * p;
-                // `b` is empty for an odd last row.
-                let (a, b) = rows.split_at_mut(n);
-                if b.is_empty() {
-                    fill_row_range(
-                        queries.point(qa),
-                        q_norms[qa],
-                        refs,
-                        &ref_norms,
-                        r0,
-                        &mut a[cols.clone()],
-                    );
-                } else {
-                    fill_row_pair(
-                        [queries.point(qa), queries.point(qa + 1)],
-                        [q_norms[qa], q_norms[qa + 1]],
-                        refs,
-                        &ref_norms,
-                        r0,
-                        [&mut a[cols.clone()], &mut b[cols.clone()]],
-                    );
-                }
+            for (i, quad) in slab.chunks_mut(simd::QUAD * n).enumerate() {
+                let qa = q0 + simd::QUAD * i;
+                let m = quad.len() / n;
+                let mut outs = quad_rows(quad, n, cols.clone());
+                let qps: [&[f32]; simd::QUAD] =
+                    core::array::from_fn(|b| queries.point(qa + b.min(m - 1)));
+                simd::fill_rows_quad(
+                    &qps[..m],
+                    &q_norms[qa..qa + m],
+                    refs,
+                    &ref_norms,
+                    r0,
+                    &mut outs[..m],
+                    &mut pack,
+                );
             }
         }
     });

@@ -28,10 +28,7 @@ pub mod metric;
 pub mod pcie;
 pub mod pipeline;
 
-pub use cpu::{
-    cpu_select_parallel, cpu_select_parallel_flat, cpu_select_serial, cpu_select_serial_flat,
-    heap_select,
-};
+pub use cpu::{cpu_select_parallel, cpu_select_serial, heap_select};
 pub use dataset::PointSet;
 pub use distance::block::{self, FlatMatrix, DEFAULT_STREAM_TILE};
 pub use distance::simd::{self, dispatch_name};
@@ -44,7 +41,7 @@ pub use metered::{
     knn_search_streamed_instrumented, Instruments, JournalObserver, RegistryObserver,
     TimelineObserver,
 };
-pub use metric::{distance_matrix_flat_with, distance_matrix_with, Metric};
+pub use metric::{distance_matrix_flat_with, Metric};
 pub use pcie::{data_copy_time, transfer_with_faults, PcieReport};
 pub use pipeline::{
     gpu_knn, gpu_knn_resilient, gpu_knn_resilient_deadline, gpu_knn_resilient_journaled,

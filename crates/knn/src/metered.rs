@@ -25,10 +25,10 @@
 //!
 //! | name | kind | meaning |
 //! |------|------|---------|
-//! | `knn.tile.fill_ns` | histogram | distance fill of one query pair (or an odd last query) × tile |
+//! | `knn.tile.fill_ns` | histogram | distance fill of one query quad (the last of a block may hold 1–3 queries) × tile |
 //! | `knn.tile.select_ns` | histogram | per query × tile threshold scan (with any mid-tile cuts) |
 //! | `knn.tile.merge_ns` | histogram | cut of one query's buffered candidates back to k, plus the final sort on its last tile (per query × tile, at every thread count) |
-//! | `knn.scratch.peak_bytes` | peak | distance-scratch high-water mark: `workers × rows × min(tile, N) × 4`, where `rows` = 2, or 1 when a block holds one query |
+//! | `knn.scratch.peak_bytes` | peak | distance-scratch high-water mark: `workers × (rows × min(tile, N) + 4 × dim) × 4`, where `rows` = `min(4, block length)` and `4 × dim` floats are the quad kernel's query pack |
 //! | `knn.stream.merge_push` / `knn.stream.merge_reject` | counter | candidates appended below the running k-th distance / dropped by the cuts to k |
 //! | `knn.queries` | counter | queries answered by instrumented searches |
 //!
@@ -478,9 +478,12 @@ mod tests {
         );
         assert_eq!(streamed, streamed_plain, "metering must not change results");
         assert_eq!(streamed, knn_search_with(&queries, &refs, &cfg, euclid));
-        // two tile rows per worker, one per query of the pair the
-        // distance kernel fills at once
-        assert_eq!(streamed_reg.peak(SCRATCH_PEAK_BYTES), 2 * 100 * 4);
+        // four tile rows per worker, one per query of the quad the
+        // distance kernel fills at once, plus its query pack (4 × dim 12)
+        assert_eq!(
+            streamed_reg.peak(SCRATCH_PEAK_BYTES),
+            (4 * 100 + 4 * 12) * 4
+        );
 
         let hist = |reg: &MetricsRegistry, name: &str| {
             reg.snapshot()
@@ -491,8 +494,8 @@ mod tests {
         };
         // 400 refs / tile 100 = 4 tiles × 24 queries; the merge is
         // observed per query × tile too. One fill span covers a query
-        // pair: 12 pairs × 4 tiles.
-        assert_eq!(hist(&streamed_reg, "knn.tile.fill_ns"), 48);
+        // quad: 6 quads × 4 tiles.
+        assert_eq!(hist(&streamed_reg, "knn.tile.fill_ns"), 24);
         assert_eq!(hist(&streamed_reg, "knn.tile.select_ns"), 96);
         assert_eq!(hist(&streamed_reg, "knn.tile.merge_ns"), 96);
         for unemitted in [Phase::Query, Phase::RowFill, Phase::RowSelect] {
@@ -515,7 +518,8 @@ mod tests {
         );
 
         // Every metric runs the same loop: the library entry holds one
-        // default-tile row pair (clamped to N) on its one worker.
+        // default-tile row quad (clamped to N) and the query pack on its
+        // one worker.
         for metric in [Metric::Manhattan, Metric::Cosine, Metric::NegativeDot] {
             let reg = MetricsRegistry::new();
             let out = knn_search_streamed_instrumented(
@@ -532,7 +536,8 @@ mod tests {
                 knn_search_with(&queries, &refs, &cfg, metric),
                 "{metric:?}"
             );
-            assert_eq!(reg.peak(SCRATCH_PEAK_BYTES), 2 * 400 * 4, "{metric:?}");
+            let peak = (4 * 400 + 4 * 12) * 4;
+            assert_eq!(reg.peak(SCRATCH_PEAK_BYTES), peak, "{metric:?}");
             assert_eq!(hist(&reg, "knn.tile.merge_ns"), 24, "{metric:?}");
         }
     }
@@ -579,8 +584,8 @@ mod tests {
             assert_eq!(r.merge_push - r.merge_reject, 8, "kept = k");
             assert_eq!(
                 r.scratch_bytes,
-                2 * 100 * 4,
-                "one worker, one tile-row pair"
+                (4 * 100 + 4 * 10) * 4,
+                "one worker, one tile-row quad and the query pack"
             );
             assert!(r.phase_ns.iter().any(|(k, _)| k == "tile_select"));
             assert!(r.total_ns > 0);
@@ -615,9 +620,9 @@ mod tests {
             };
             // 400 refs / tile 100 = 4 tiles × 70 queries, regardless of
             // how blocks were distributed across workers. One fill span
-            // covers a query pair: blocks of 32, 32 and 6 queries are
-            // 35 pairs × 4 tiles.
-            assert_eq!(hist("knn.tile.fill_ns").count, 140, "threads {threads}");
+            // covers a query quad: blocks of 32, 32 and 6 queries are
+            // 8 + 8 + 2 quads × 4 tiles.
+            assert_eq!(hist("knn.tile.fill_ns").count, 72, "threads {threads}");
             assert_eq!(hist("knn.tile.select_ns").count, 280);
             assert_eq!(hist("knn.tile.merge_ns").count, 280);
             assert_eq!(reg.counter(QUERIES), 70);
@@ -672,7 +677,7 @@ mod tests {
 
     #[test]
     fn shared_fill_spans_split_exactly_across_their_queries() {
-        // 33 queries: one full block of 16 pairs and a one-query block.
+        // 33 queries: one full block of 8 quads and a one-query block.
         let queries = PointSet::uniform(33, 10, 149);
         let refs = PointSet::uniform(300, 10, 150);
         let cfg = SelectConfig::plain(QueueKind::Merge, 8);
@@ -705,8 +710,8 @@ mod tests {
                 .into_iter()
                 .find(|h| h.name == "knn.tile.fill_ns")
                 .expect("fill histogram");
-            // 16 pairs + 1 single query, × 3 tiles
-            assert_eq!(spans.count, 17 * 3);
+            // 8 quads + 1 single query, × 3 tiles
+            assert_eq!(spans.count, 9 * 3);
             assert_eq!(
                 snap.iter().map(fill).sum::<u64>(),
                 spans.sum_ns,
@@ -755,8 +760,8 @@ mod tests {
                 lane.worker
             );
             assert!(lane.utilization <= 1.0 + f64::EPSILON);
-            // one tile-row pair of scratch per worker
-            assert_eq!(lane.scratch_peak_bytes, 2 * 100 * 4);
+            // one tile-row quad and the query pack (4 × dim 12) per worker
+            assert_eq!(lane.scratch_peak_bytes, (4 * 100 + 4 * 12) * 4);
         }
         assert!(report.imbalance >= 1.0);
         report

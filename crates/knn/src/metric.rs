@@ -95,15 +95,6 @@ pub fn distance_matrix_flat_with(
     FlatMatrix::from_flat(data, q, n)
 }
 
-/// Full distance matrix under an arbitrary metric as per-query rows.
-///
-/// Legacy interface over [`distance_matrix_flat_with`]: the heap-of-rows
-/// return type costs one allocation per query on top of the flat kernel
-/// output.
-pub fn distance_matrix_with(queries: &PointSet, refs: &PointSet, metric: Metric) -> Vec<Vec<f32>> {
-    distance_matrix_flat_with(queries, refs, metric).to_rows()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -142,25 +133,8 @@ mod tests {
 
     #[test]
     fn matrix_with_metric() {
-        let q = PointSet::uniform(3, 8, 1);
-        let r = PointSet::uniform(5, 8, 2);
-        for metric in [
-            Metric::SquaredEuclidean,
-            Metric::Manhattan,
-            Metric::Cosine,
-            Metric::NegativeDot,
-        ] {
-            let m = distance_matrix_with(&q, &r, metric);
-            assert_eq!(m.len(), 3);
-            assert_eq!(m[0].len(), 5);
-            assert_eq!(m[1][2], metric.distance(q.point(1), r.point(2)));
-        }
-    }
-
-    #[test]
-    fn flat_and_rows_agree_bitwise() {
-        // Sizes straddling the query-block edge so the blocked fill path
-        // is exercised for every metric.
+        // Sizes straddling the query-block edge, so the blocked fill
+        // path runs for every metric.
         let q = PointSet::uniform(QUERY_BLOCK + 2, 8, 3);
         let r = PointSet::uniform(37, 8, 4);
         for metric in [
@@ -169,12 +143,14 @@ mod tests {
             Metric::Cosine,
             Metric::NegativeDot,
         ] {
-            let flat = distance_matrix_flat_with(&q, &r, metric);
-            let rows = distance_matrix_with(&q, &r, metric);
-            assert_eq!(flat.q(), rows.len());
-            for (qi, row) in rows.iter().enumerate() {
-                for (ri, &v) in row.iter().enumerate() {
-                    assert_eq!(flat.at(qi, ri).to_bits(), v.to_bits(), "{metric:?}");
+            let m = distance_matrix_flat_with(&q, &r, metric);
+            assert_eq!((m.q(), m.n()), (q.len(), r.len()));
+            for qi in 0..q.len() {
+                for ri in 0..r.len() {
+                    let want = crate::distance::clamp_non_finite(
+                        metric.distance(q.point(qi), r.point(ri)),
+                    );
+                    assert_eq!(m.at(qi, ri).to_bits(), want.to_bits(), "{metric:?}");
                 }
             }
         }

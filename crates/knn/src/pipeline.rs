@@ -9,7 +9,7 @@
 //! * [`knn_search_streamed_parallel`] — the same loop on `threads`
 //!   workers with a caller-chosen tile. Workers claim query *blocks*
 //!   from a shared cursor and, per reference tile, fill the distance
-//!   rows of a query pair into two reused `tile`-length scratch rows,
+//!   rows of a query quad into four reused `tile`-length scratch rows,
 //!   then scan each row into that query's [`kselect::TopK`]: the values
 //!   below the query's running k-th distance go into one per-worker
 //!   candidate buffer, which is cut back to k whenever it fills. Each
@@ -48,7 +48,7 @@ use simt::{Metrics, TimingModel};
 use trace::{NullTimeline, TimelineHooks};
 
 use crate::dataset::PointSet;
-use crate::distance::{block, clamp_non_finite, gpu_distance_metrics};
+use crate::distance::{block, clamp_non_finite, gpu_distance_metrics, simd};
 use crate::metric::Metric;
 use crate::pcie::{self, PcieReport};
 
@@ -66,8 +66,9 @@ pub enum Phase {
     /// k-selection over one query's full row on the former row path.
     /// Not emitted; kept for the same reason as [`Phase::Query`].
     RowSelect,
-    /// Distance fill of one query pair (or an odd last query) × one
-    /// reference tile in [`knn_search_streamed_parallel_timelined`].
+    /// Distance fill of one query quad (the last of a block may hold
+    /// fewer queries) × one reference tile in
+    /// [`knn_search_streamed_parallel_timelined`].
     TileFill,
     /// Threshold scan of one query × one tile row into the worker's
     /// candidate buffer in [`knn_search_streamed_parallel_timelined`],
@@ -108,7 +109,7 @@ pub trait PhaseObserver: Sync {
         self.timed(phase, f)
     }
     /// [`PhaseObserver::timed`] for one span shared by the queries
-    /// `qs` — the streamed path fills a query pair's rows in one kernel
+    /// `qs` — the streamed path fills a query quad's rows in one kernel
     /// call. Defaults to the query-blind `timed` (one observation); the
     /// per-query journal overrides this to split the span across `qs`.
     #[inline]
@@ -205,7 +206,7 @@ pub fn knn_search(queries: &PointSet, refs: &PointSet, cfg: &SelectConfig) -> Ve
 /// The streamed loop of [`knn_search_streamed_parallel_timelined`] at
 /// [`block::DEFAULT_STREAM_TILE`] on one worker, so the neighbors are
 /// those of every other native entry at any tile and thread count.
-/// Squared Euclidean rows go through the GEMM-decomposed pair fill with
+/// Squared Euclidean rows go through the GEMM-decomposed quad fill with
 /// the norms hoisted out of the tile loop; the other metrics fill each
 /// row with [`Metric::distance`], non-finite values clamped to `+∞`.
 ///
@@ -292,17 +293,17 @@ pub fn knn_search_streamed_parallel(
 /// Workers claim [`block::QUERY_BLOCK`]-sized query blocks from a shared
 /// atomic cursor (a fast worker takes the next block as soon as it
 /// finishes one) and walk *every* reference tile of their block in
-/// ascending order. Per tile, the block's queries are walked in pairs:
-/// one kernel call fills both distance rows into the worker's two
-/// `tile`-length scratch rows ([`Phase::TileFill`], one span shared by
-/// the pair), then each query in turn is pushed into its [`TopK`]
-/// ([`Phase::TileSelect`]) and settled ([`Phase::TileMerge`]) before
-/// the next pair reuses the rows. An odd last query is filled alone.
-/// Squared Euclidean rows come from the GEMM-decomposed pair kernel,
-/// every distance bit-equal to the single-row fill's, so pairing
-/// changes no neighbor. Any other `metric` fills each row with
-/// [`Metric::distance`], non-finite values clamped to `+∞`; the
-/// [`TopK`] key ranks negative distances too.
+/// ascending order. Per tile, the block's queries are walked in quads
+/// of [`simd::QUAD`] (the last quad of a block holds the 1–3 left
+/// over): one kernel call fills the quad's distance rows into the
+/// worker's `tile`-length scratch rows ([`Phase::TileFill`], one span
+/// shared by the quad), then each query in turn is pushed into its
+/// [`TopK`] ([`Phase::TileSelect`]) and settled ([`Phase::TileMerge`])
+/// before the next quad reuses the rows. Squared Euclidean rows come
+/// from [`simd::fill_rows_quad`], every distance bit-equal to the
+/// single-row fill's, so the grouping changes no neighbor. Any other
+/// `metric` fills each row with [`Metric::distance`], non-finite values
+/// clamped to `+∞`; the [`TopK`] key ranks negative distances too.
 ///
 /// The push is a branch-free scan of the row: every value below the
 /// query's running k-th distance is appended to the worker's one
@@ -315,9 +316,10 @@ pub fn knn_search_streamed_parallel(
 /// query's tiles are pushed in ascending order at any thread count, so
 /// the neighbors are identical at any thread count; only wall-clock
 /// interleaving varies. Peak distance scratch is
-/// `workers × rows × min(tile, N)` floats, where `rows` is 2, or 1 when
-/// a block holds a single query. One worker runs inline on the
-/// caller's thread.
+/// `workers × (rows × min(tile, N) + 4 × dim)` floats, where `rows` is
+/// `min(4, block length)` and `4 × dim` is the quad kernel's query
+/// pack ([`simd::pack_len`]), reserved on every kernel and metric. One
+/// worker runs inline on the caller's thread.
 ///
 /// `obs` receives the per-phase hooks from whichever worker owns the
 /// query's block; the aggregate merge totals are folded once after the
@@ -392,9 +394,11 @@ pub(crate) fn stream<O: PhaseObserver, C: CancelToken, T: TimelineHooks>(
     let block_len = block::QUERY_BLOCK.min(q.max(1));
     let blocks_total = q.div_ceil(block_len);
     let workers = resolve_threads(threads).min(blocks_total.max(1));
-    // One scratch row per query of the pair the kernel fills at once.
-    let rows = 2.min(block_len);
-    let scratch_bytes = (rows * tile * core::mem::size_of::<f32>()) as u64;
+    // One scratch row per query of the quad the kernel fills at once,
+    // then the kernel's query pack, whatever the kernel and metric.
+    let rows = simd::QUAD.min(block_len);
+    let scratch_len = rows * tile + simd::pack_len(refs.dim());
+    let scratch_bytes = (scratch_len * core::mem::size_of::<f32>()) as u64;
     obs.scratch_bytes(workers as u64 * scratch_bytes);
 
     let next_block = AtomicUsize::new(0);
@@ -409,7 +413,8 @@ pub(crate) fn stream<O: PhaseObserver, C: CancelToken, T: TimelineHooks>(
     rayon::scope_broadcast(workers, |worker| {
         tl.worker_started(worker);
         tl.scratch_reserved(worker, scratch_bytes);
-        let mut scratch = vec![0.0f32; rows * tile];
+        let mut scratch = vec![0.0f32; scratch_len];
+        let (dist_rows, pack) = scratch.split_at_mut(rows * tile);
         let mut cand = Candidates::new(cfg.k);
         'work: loop {
             if cancel_at.load(Ordering::Relaxed) != usize::MAX {
@@ -438,40 +443,31 @@ pub(crate) fn stream<O: PhaseObserver, C: CancelToken, T: TimelineHooks>(
                 }
                 let len = tile.min(n - r0);
                 let last = r0 + len == n;
-                for ((pair, ts), outs) in (q0..q1)
-                    .step_by(2)
-                    .zip(tops.chunks_mut(2))
-                    .zip(out.chunks_mut(2))
+                for ((qa, ts), outs) in (q0..q1)
+                    .step_by(simd::QUAD)
+                    .zip(tops.chunks_mut(simd::QUAD))
+                    .zip(out.chunks_mut(simd::QUAD))
                 {
-                    let qs = pair..pair + ts.len();
-                    let (row0, row1) = scratch.split_at_mut(tile);
-                    // `row1` is empty when blocks hold one query.
-                    let (row0, row1) = (&mut row0[..len], row1.get_mut(..len).unwrap_or_default());
+                    let (qs, m) = (qa..qa + ts.len(), ts.len());
+                    let mut fill = block::quad_rows(dist_rows, tile, 0..len);
                     obs.timed_qs(Phase::TileFill, qs.clone(), || {
-                        if !euclidean {
-                            let rows = [&mut *row0, &mut *row1];
-                            fill_rows_with(metric, queries, qs.clone(), refs, r0, rows)
-                        } else if qs.len() == 2 {
-                            block::fill_row_pair(
-                                [queries.point(pair), queries.point(pair + 1)],
-                                [q_norms[pair], q_norms[pair + 1]],
+                        if euclidean {
+                            let qps: [&[f32]; simd::QUAD] =
+                                core::array::from_fn(|b| queries.point(qa + b.min(m - 1)));
+                            simd::fill_rows_quad(
+                                &qps[..m],
+                                &q_norms[qs.clone()],
                                 refs,
                                 &ref_norms,
                                 r0,
-                                [&mut *row0, &mut *row1],
+                                &mut fill[..m],
+                                pack,
                             )
                         } else {
-                            block::fill_row_range(
-                                queries.point(pair),
-                                q_norms[pair],
-                                refs,
-                                &ref_norms,
-                                r0,
-                                &mut *row0,
-                            )
+                            fill_rows_with(metric, queries, qs.clone(), refs, r0, &mut fill[..m])
                         }
                     });
-                    for (((qi, top), o), row) in qs.zip(ts).zip(outs).zip([&*row0, &*row1]) {
+                    for (((qi, top), o), row) in qs.zip(ts).zip(outs).zip(&fill) {
                         obs.timed_q(Phase::TileSelect, qi, || {
                             top.push(&mut cand, row, r0 as u32)
                         });
@@ -521,10 +517,10 @@ pub(crate) fn stream<O: PhaseObserver, C: CancelToken, T: TimelineHooks>(
     Ok(blocks.into_iter().flat_map(|(_, v)| v).collect())
 }
 
-/// Fill the row of each query in `qs` (the first `qs.len()` of `rows`)
-/// with its `metric` distances to the references from `r0` on,
-/// non-finite values clamped to `+∞`. Kept out of line so that the
-/// squared Euclidean loop around it stays small.
+/// Fill the row of each query in `qs` (one per entry of `rows`) with
+/// its `metric` distances to the references from `r0` on, non-finite
+/// values clamped to `+∞`. Kept out of line so that the squared
+/// Euclidean loop around it stays small.
 #[inline(never)]
 fn fill_rows_with(
     metric: Metric,
@@ -532,7 +528,7 @@ fn fill_rows_with(
     qs: Range<usize>,
     refs: &PointSet,
     r0: usize,
-    rows: [&mut [f32]; 2],
+    rows: &mut [&mut [f32]],
 ) {
     for (qi, row) in qs.zip(rows) {
         let qp = queries.point(qi);
@@ -1052,7 +1048,7 @@ mod tests {
     }
 
     #[test]
-    fn scratch_is_one_tile_row_pair_per_worker() {
+    fn scratch_is_one_tile_row_quad_and_pack_per_worker() {
         // 300 queries = 10 query blocks, so 8 workers all get one.
         let queries = PointSet::uniform(300, 8, 224);
         let refs = PointSet::uniform(500, 8, 225);
@@ -1072,19 +1068,25 @@ mod tests {
             .expect("NeverCancel never trips");
             peak.0.into_inner()
         };
+        // The query pack of the quad kernel: four rows of dim 8,
+        // reserved whatever kernel the host dispatches.
+        let pack = 4 * 8;
         for threads in [1usize, 2, 8] {
-            // tile < N, and tile > N (the row clamps to N): two rows,
-            // one per query of the pair the kernel fills at once.
-            for (tile, row) in [(100usize, 100u64), (4096, 500)] {
+            // tile < N, and tile > N (the row clamps to N): four rows,
+            // one per query of the quad the kernel fills at once.
+            for (tile, row) in [(100u64, 100u64), (4096, 500)] {
                 assert_eq!(
-                    peak_of(&queries, tile, threads),
-                    threads as u64 * 2 * row * 4,
+                    peak_of(&queries, tile as usize, threads),
+                    threads as u64 * (4 * row + pack) * 4,
                     "threads {threads} tile {tile}"
                 );
             }
         }
-        // A one-query search has one-query blocks: one row.
-        assert_eq!(peak_of(&PointSet::uniform(1, 8, 226), 100, 2), 100 * 4);
+        // Searches of 1–3 queries have blocks that short: one row each.
+        for q in 1..4 {
+            let queries = PointSet::uniform(q, 8, 226);
+            assert_eq!(peak_of(&queries, 100, 2), (q as u64 * 100 + pack) * 4);
+        }
     }
 
     #[test]

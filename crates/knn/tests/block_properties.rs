@@ -25,13 +25,13 @@
 //!    neighbors at 2 and 8 threads as on one — the work-stealing
 //!    schedule moves blocks between workers, never the per-query merge
 //!    order.
-//! 5. The streamed loop's paired row fill (two queries per kernel call,
-//!    a lone query on odd counts) must return the sort oracle's
-//!    neighbors byte for byte.
+//! 5. The streamed loop's quad row fill (four queries per kernel call,
+//!    1–3 in the last quad of a block) must return the sort oracle's and
+//!    `eval::ground_truth`'s neighbors byte for byte.
 
 use knn::{
-    block, clamp_non_finite, knn_search_streamed_parallel, simd, squared_distance, squared_norm,
-    PointSet,
+    block, clamp_non_finite, ground_truth, knn_search_streamed_parallel, simd, squared_distance,
+    squared_norm, Metric, PointSet,
 };
 use kselect::{QueueKind, SelectConfig};
 use proptest::prelude::*;
@@ -336,14 +336,13 @@ proptest! {
     }
 }
 
-/// The streamed loop fills query rows in pairs; an odd last query and
-/// one-query blocks take the single-row fill. At query counts that
-/// produce each case (1: a one-query block; 31 and 65: an odd last
-/// query; 33: a full block then a one-query block), every tile length
-/// and thread count must return the sort oracle's neighbors byte for
-/// byte.
+/// The streamed loop fills query rows in quads. At query counts that
+/// leave short quads (1: a one-query block; 31: a last quad of 3; 65: a
+/// block of 32 after two full ones, then one query; 33: a full block
+/// then a one-query block), every tile length and thread count must
+/// return the sort oracle's neighbors byte for byte.
 #[test]
-fn paired_streamed_fill_is_byte_identical_to_the_sort_oracle() {
+fn quad_streamed_fill_is_byte_identical_to_the_sort_oracle() {
     let refs = PointSet::uniform(150, 13, 41);
     for q in [1usize, 31, 33, 65] {
         let queries = PointSet::uniform(q, 13, 40 + q as u64);
@@ -361,6 +360,37 @@ fn paired_streamed_fill_is_byte_identical_to_the_sort_oracle() {
                         full,
                         "q {q} k {} tile {tile} threads {threads}",
                         cfg.k
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Each query block's last quad holds 1–3 live queries whenever Q is
+/// not a multiple of 4: Q ∈ 1..=9 (one block) and 33..=37 (a full block,
+/// then 1–5 queries). On references that each appear three times (every
+/// distance tied three ways), at a dimension with a scalar tail (13)
+/// and one without (16), tiles {7, 64, whole}, and threads 1, 2 and 4,
+/// the streamed search must equal `eval::ground_truth` — the full sort
+/// of the scalar distance row — ids included.
+#[test]
+fn streamed_short_quads_equal_ground_truth_at_any_thread_count() {
+    for dim in [13usize, 16] {
+        let base = PointSet::uniform(60, dim, 50 + dim as u64);
+        let tripled: Vec<f32> = (0..180).flat_map(|i| base.point(i % 60).to_vec()).collect();
+        let refs = PointSet::from_flat(tripled, dim);
+        for q in (1usize..=9).chain(33..=37) {
+            let queries = PointSet::uniform(q, dim, 70 + q as u64);
+            let cfg = SelectConfig::optimized(QueueKind::Merge, 8);
+            let want = ground_truth(&queries, &refs, cfg.k, Metric::SquaredEuclidean);
+            for tile in [7usize, 64, 4096] {
+                for threads in [1usize, 2, 4] {
+                    let got = knn_search_streamed_parallel(&queries, &refs, &cfg, tile, threads);
+                    assert_eq!(
+                        bits(&got),
+                        bits(&want),
+                        "dim {dim} q {q} tile {tile} threads {threads}"
                     );
                 }
             }
