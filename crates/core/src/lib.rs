@@ -27,7 +27,9 @@
 //! A streaming caller that sees each list one tile at a time keeps its
 //! running k best in a [`TopK`] ([`topk`]): Buffered Search done
 //! natively, where a threshold scan fills one candidate buffer and the
-//! picks are sorted once at the end.
+//! picks are sorted once at the end. The scan has an AVX-512 body,
+//! picked by the one runtime SIMD probe of the native search
+//! ([`dispatch`]), which the `knn` crate's distance kernels share.
 //!
 //! ## Quick start
 //!
@@ -45,6 +47,7 @@
 pub mod bitonic;
 pub mod buffered;
 pub mod chunked;
+pub mod dispatch;
 pub mod error;
 pub mod gpu;
 pub mod hierarchical;

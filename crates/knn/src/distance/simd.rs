@@ -82,7 +82,10 @@
 //! Dispatch is decided once per process ([`active_kernel`]) from CPUID
 //! via `is_x86_feature_detected!`; setting `KNN_SIMD=scalar` in the
 //! environment forces the portable kernel (used by tests and benches to
-//! compare the paths on the same machine).
+//! compare the paths on the same machine). The probe lives in
+//! [`kselect::dispatch`] and is re-exported here: the same answer picks
+//! the body of the top-k scan ([`kselect::TopK::push`]), so one host
+//! runs one instruction set in the fill and the selection alike.
 
 use super::{clamp_non_finite, dot, squared_distance_from_parts, LANES};
 use crate::dataset::PointSet;
@@ -97,80 +100,8 @@ pub fn pack_len(dim: usize) -> usize {
     QUAD * dim
 }
 
-/// One of the row-kernel implementations this module can dispatch to.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Kernel {
-    /// 512-bit AVX-512 kernel: four query rows × four reference rows
-    /// per pass in [`fill_rows_quad`]; single rows take the AVX2 body.
-    Avx512,
-    /// 256-bit AVX2 kernel, register-blocked over one or two query rows
-    /// × four reference rows.
-    Avx2,
-    /// Portable 8-accumulator scalar kernel.
-    Scalar8,
-}
-
-impl Kernel {
-    /// Stable name reported by the CLI and recorded in
-    /// `BENCH_native.json` (`simd_dispatch`).
-    pub fn name(self) -> &'static str {
-        match self {
-            Kernel::Avx512 => "avx512",
-            Kernel::Avx2 => "avx2+fma",
-            Kernel::Scalar8 => "scalar8",
-        }
-    }
-}
-
-/// Whether the host CPU supports the AVX2 kernel (requires both the
-/// `avx2` and `fma` CPUID flags — see the module docs for why `fma` is
-/// gated on but never used for the accumulation itself).
-pub fn avx2_available() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
-}
-
-/// Whether the host CPU supports the AVX-512 kernel: `avx512f` and
-/// `avx512dq` (for the 256-bit broadcast and extract) on top of the
-/// AVX2 kernel's flags, whose body it shares.
-pub fn avx512_available() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        avx2_available()
-            && std::arch::is_x86_feature_detected!("avx512f")
-            && std::arch::is_x86_feature_detected!("avx512dq")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
-}
-
-/// The kernel every dispatched row fill in this process uses, decided
-/// once: `KNN_SIMD=scalar` forces [`Kernel::Scalar8`], otherwise the
-/// CPUID probe picks the fastest supported implementation.
-pub fn active_kernel() -> Kernel {
-    static ACTIVE: std::sync::OnceLock<Kernel> = std::sync::OnceLock::new();
-    *ACTIVE.get_or_init(|| {
-        let forced_scalar =
-            std::env::var_os("KNN_SIMD").is_some_and(|v| v == "scalar" || v == "scalar8");
-        if forced_scalar {
-            Kernel::Scalar8
-        } else if avx512_available() {
-            Kernel::Avx512
-        } else if avx2_available() {
-            Kernel::Avx2
-        } else {
-            Kernel::Scalar8
-        }
-    })
-}
+// The dispatch lives in `kselect`, shared with the top-k scan.
+pub use kselect::dispatch::{active_kernel, avx2_available, avx512_available, Kernel};
 
 /// Name of the dispatched kernel (`"avx512"` / `"avx2+fma"` /
 /// `"scalar8"`).

@@ -351,6 +351,10 @@ pub struct Instruments<'a> {
 /// lanes at every thread count. Observers are thread-safe, so totals
 /// and per-query records are exact at any thread count. Same results as
 /// the plain path.
+///
+/// # Panics
+/// When `tile` is zero, `cfg.k` is zero or exceeds the number of
+/// references, or the point sets disagree on dimensionality.
 pub fn knn_search_streamed_instrumented(
     queries: &PointSet,
     refs: &PointSet,

@@ -197,6 +197,10 @@ pub struct Cancelled {
 
 /// Native k-NN search: for each query, the k nearest references by
 /// squared Euclidean distance, sorted ascending by `(dist, id)`.
+///
+/// # Panics
+/// When `cfg.k` is zero or exceeds the number of references, or the
+/// point sets disagree on dimensionality.
 pub fn knn_search(queries: &PointSet, refs: &PointSet, cfg: &SelectConfig) -> Vec<Vec<Neighbor>> {
     knn_search_with(queries, refs, cfg, Metric::SquaredEuclidean)
 }
@@ -211,8 +215,8 @@ pub fn knn_search(queries: &PointSet, refs: &PointSet, cfg: &SelectConfig) -> Ve
 /// row with [`Metric::distance`], non-finite values clamped to `+∞`.
 ///
 /// # Panics
-/// When `cfg.k` exceeds the number of references, or the point sets
-/// disagree on dimensionality.
+/// When `cfg.k` is zero or exceeds the number of references, or the
+/// point sets disagree on dimensionality.
 pub fn knn_search_with(
     queries: &PointSet,
     refs: &PointSet,
@@ -225,6 +229,9 @@ pub fn knn_search_with(
 /// [`knn_search_with`] with [`PhaseObserver`] hooks: the per query ×
 /// tile fill, select and merge spans, the worker's scratch bytes and
 /// the merge totals. Results are identical to the unobserved path.
+///
+/// # Panics
+/// As [`knn_search_with`].
 pub fn knn_search_with_observed<O: PhaseObserver>(
     queries: &PointSet,
     refs: &PointSet,
@@ -263,8 +270,8 @@ pub fn resolve_threads(threads: usize) -> usize {
 /// distances a query gets fewer than k neighbors.
 ///
 /// # Panics
-/// When `tile` is zero, `cfg.k` exceeds the number of references, or the
-/// point sets disagree on dimensionality.
+/// When `tile` is zero, `cfg.k` is zero or exceeds the number of
+/// references, or the point sets disagree on dimensionality.
 pub fn knn_search_streamed_parallel(
     queries: &PointSet,
     refs: &PointSet,
@@ -340,8 +347,8 @@ pub fn knn_search_streamed_parallel(
 /// Partial results are dropped (see [`Cancelled`]).
 ///
 /// # Panics
-/// When `tile` is zero, `cfg.k` exceeds the number of references, or
-/// the point sets disagree on dimensionality.
+/// When `tile` is zero, `cfg.k` is zero or exceeds the number of
+/// references, or the point sets disagree on dimensionality.
 #[allow(clippy::too_many_arguments)]
 pub fn knn_search_streamed_parallel_timelined<
     O: PhaseObserver,
@@ -1188,6 +1195,21 @@ mod tests {
     fn streamed_zero_tile_rejected() {
         let p = PointSet::uniform(2, 4, 120);
         knn_search_streamed_parallel(&p, &p, &SelectConfig::plain(QueueKind::Heap, 1), 0, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "k must be positive")]
+    fn zero_k_rejected() {
+        let p = PointSet::uniform(2, 4, 121);
+        knn_search(&p, &p, &SelectConfig::plain(QueueKind::Heap, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "k must be positive")]
+    fn streamed_zero_k_rejected() {
+        let p = PointSet::uniform(40, 4, 122);
+        let cfg = SelectConfig::plain(QueueKind::Heap, 0);
+        knn_search_streamed_parallel(&p, &p, &cfg, 16, 2);
     }
 
     #[test]

@@ -56,17 +56,21 @@ use check::lint::{
 /// `knn/src/distance/simd.rs` holds the runtime-dispatched SIMD
 /// microkernels: the innermost hot loop of the native pipelines, where
 /// a wall-clock read or a panic would sit inside every distance tile.
+/// `core/src/topk.rs` holds the top-k threshold scan, dispatched to an
+/// AVX-512 body like the distance kernels: it runs once per query and
+/// tile, so a clock read or an unwrap there would run in every tile.
 /// `trace/src/timeline.rs` is scanned because worker timelines must be
 /// clock-free by construction: every timestamp they hold arrives
 /// pre-stamped by the metered layer, so an `Instant` read there would
 /// silently fork the repo's single-clock discipline.
-const SCAN_ROOTS: [&str; 8] = [
+const SCAN_ROOTS: [&str; 9] = [
     "crates/core/src/gpu",
     "crates/simt/src",
     "crates/trace/src/metrics.rs",
     "crates/trace/src/journal.rs",
     "crates/knn/src/metered.rs",
     "crates/knn/src/distance/simd.rs",
+    "crates/core/src/topk.rs",
     "crates/trace/src/timeline.rs",
     "crates/serve/src",
 ];
