@@ -7,7 +7,7 @@ use baselines::{
 };
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use kselect::buffered::BufferConfig;
-use kselect::{select_k, QueueKind, SelectConfig};
+use kselect::{select_k, Candidates, QueueKind, SelectConfig, TopK};
 use rand::{Rng, SeedableRng};
 
 fn dists(n: usize) -> Vec<f32> {
@@ -113,6 +113,26 @@ fn bench_variants(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::from_parameter(k), &k, |b, &k| {
             let cfg = SelectConfig::optimized(QueueKind::Merge, k);
             b.iter(|| black_box(select_k(black_box(&data), &cfg)))
+        });
+    }
+    g.finish();
+
+    // The final sort of a streamed query alone: `TopK::finish` on k
+    // settled keys of a 4096-value row, the `batch-k1024` row length.
+    // The AVX-512 sorting network on the `avx512` dispatch,
+    // `sort_unstable` under `KNN_SIMD=scalar`. k = 1025 takes the
+    // network's padding. Each iteration also clones the k held keys,
+    // one copy next to the sort.
+    let row = dists(4096);
+    let mut g = c.benchmark_group("topk_finish_n4096");
+    g.sample_size(20);
+    for &k in &[32usize, 1024, 1025] {
+        let mut cand = Candidates::new(k);
+        let mut held = TopK::new(k);
+        held.push(&mut cand, &row, 0);
+        held.settle(&mut cand);
+        g.bench_with_input(BenchmarkId::from_parameter(k), &k, |b, _| {
+            b.iter(|| black_box(held.clone().finish(&mut cand)))
         });
     }
     g.finish();

@@ -35,6 +35,14 @@
 //!   run: `pipeline.streamed_*` and the sweep entry for the default
 //!   tile reference the *same* measurement, so the two places can never
 //!   disagree (they used to be timed separately and drifted apart);
+//! * `k_sweep[]` — streamed QPS at k in {32, 128, 512, 1024} (those
+//!   at most N) on the configured shape and tile: the median and the
+//!   quartiles `streamed_qps_q1`/`_q3` over [`K_SWEEP_REPS`] timed
+//!   repetitions, each checked against a `(dist, id)` sort of the
+//!   blocked distance rows, plus `merge_share` from one untimed metered
+//!   run: the cuts and the final sort (`knn.tile.merge_ns`) over the
+//!   run's lane time (wall × workers), the share knnbench reports as
+//!   `merge.share`;
 //! * `threads` / `simd_dispatch` — the resolved worker count and the
 //!   SIMD kernel the runtime dispatch picked (`avx512`, `avx2+fma` or
 //!   `scalar8`),
@@ -92,6 +100,22 @@ struct TileSweepEntry {
 }
 
 #[derive(Serialize)]
+struct KSweepEntry {
+    k: usize,
+    /// Timed repetitions behind the quartiles.
+    reps: usize,
+    /// Median streamed QPS over `reps`.
+    streamed_qps: f64,
+    /// First and third quartiles of the same repetitions.
+    streamed_qps_q1: f64,
+    streamed_qps_q3: f64,
+    /// Merge layer (cuts + final sort) over lane time, from one metered
+    /// run.
+    merge_share: f64,
+    results_identical: bool,
+}
+
+#[derive(Serialize)]
 struct Report {
     queries: usize,
     refs: usize,
@@ -109,6 +133,8 @@ struct Report {
     tile_sweep: Vec<TileSweepEntry>,
     /// QPS argmax of the sweep; `tile` when no sweep ran.
     best_tile: usize,
+    /// Streamed QPS and merge share per k, at the configured tile.
+    k_sweep: Vec<KSweepEntry>,
 }
 
 struct Args {
@@ -172,6 +198,44 @@ fn parse_args() -> Args {
 /// The tile sizes `--sweep-tiles` walks (clamped to N), matching
 /// `knn-cli stats`.
 const SWEEP_TILES: [usize; 4] = [1024, 2048, 4096, 8192];
+
+/// The k values the k sweep walks (those at most N): the paper's span
+/// of k at the configured shape.
+const SWEEP_KS: [usize; 4] = [32, 128, 512, 1024];
+
+/// Timed repetitions per k of the k sweep.
+const K_SWEEP_REPS: usize = 5;
+
+/// The first, second and third quartiles of `v`, interpolating
+/// linearly between order statistics.
+fn quartiles(v: &[f64]) -> [f64; 3] {
+    let mut s = v.to_vec();
+    s.sort_by(f64::total_cmp);
+    [0.25, 0.5, 0.75].map(|p| {
+        let x = p * (s.len() - 1) as f64;
+        let (lo, hi) = (x.floor() as usize, x.ceil() as usize);
+        s[lo] + (s[hi] - s[lo]) * (x - lo as f64)
+    })
+}
+
+/// Each query's `k` nearest by `(dist, id)` from its full distance row:
+/// the k sweep's oracle, independent of the streamed top-k.
+fn sorted_prefix(m: &knn::FlatMatrix, k: usize) -> Vec<Vec<kselect::Neighbor>> {
+    (0..m.q())
+        .map(|qi| {
+            let mut row: Vec<(f32, u32)> = m.row(qi).iter().copied().zip(0..).collect();
+            let by = |a: &(f32, u32), b: &(f32, u32)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1));
+            if k < row.len() {
+                row.select_nth_unstable_by(k, by);
+                row.truncate(k);
+            }
+            row.sort_unstable_by(by);
+            row.iter()
+                .map(|&(d, id)| kselect::Neighbor::new(d, id))
+                .collect()
+        })
+        .collect()
+}
 
 /// The seed implementation's distance kernel, kept verbatim as the
 /// baseline this benchmark reports speedups against: a scalar per-pair
@@ -419,6 +483,68 @@ fn main() {
         eprintln!("sweep: best tile {best_tile} ({best_qps:.1} q/s)");
     }
 
+    // k sweep: the streamed path at each k, timed K_SWEEP_REPS times
+    // (every repetition checked), then once metered for the merge share.
+    let mut k_sweep = Vec::new();
+    for sk in SWEEP_KS.into_iter().filter(|&sk| sk <= n) {
+        let scfg = SelectConfig::optimized(QueueKind::Merge, sk);
+        let want = sorted_prefix(&blocked, sk);
+        let mut qps = Vec::with_capacity(K_SWEEP_REPS);
+        for _ in 0..K_SWEEP_REPS {
+            let t0 = Instant::now();
+            let nb = knn_search_streamed_parallel(&queries, &refs, &scfg, tile, workers);
+            let dt = t0.elapsed();
+            reg.observe_ns(
+                &format!("wallclock.k_sweep.k_{sk}_ns"),
+                dt.as_nanos() as u64,
+            );
+            assert_eq!(
+                nb, want,
+                "streamed search at k {sk} disagrees with the sort oracle"
+            );
+            qps.push(q as f64 / dt.as_secs_f64());
+        }
+        let k_reg = MetricsRegistry::new();
+        let ins = knn::Instruments {
+            registry: Some(&k_reg),
+            ..knn::Instruments::default()
+        };
+        let t0 = Instant::now();
+        let nb = knn::knn_search_streamed_instrumented(
+            &queries, &refs, &scfg, euclid, tile, workers, &ins,
+        );
+        let lane_ns = t0.elapsed().as_nanos() as f64 * workers as f64;
+        assert_eq!(
+            nb, want,
+            "metered search at k {sk} disagrees with the sort oracle"
+        );
+        let merge_metric = knn::metered::phase_metric(knn::Phase::TileMerge);
+        let merge_ns = k_reg
+            .snapshot()
+            .histograms
+            .iter()
+            .find(|h| h.name == merge_metric)
+            .map_or(0, |h| h.sum_ns);
+        let [q1, median, q3] = quartiles(&qps);
+        let merge_share = merge_ns as f64 / lane_ns;
+        reg.set_gauge(
+            &format!("wallclock.k_sweep.k_{sk}_merge_share"),
+            merge_share,
+        );
+        eprintln!(
+            "k sweep: k {sk}: {median:.1} q/s [q1 {q1:.1}, q3 {q3:.1}] over {K_SWEEP_REPS} reps, merge share {merge_share:.3}"
+        );
+        k_sweep.push(KSweepEntry {
+            k: sk,
+            reps: K_SWEEP_REPS,
+            streamed_qps: median,
+            streamed_qps_q1: q1,
+            streamed_qps_q3: q3,
+            merge_share,
+            results_identical: true, // asserted per repetition above
+        });
+    }
+
     let report = Report {
         queries: q,
         refs: n,
@@ -431,6 +557,7 @@ fn main() {
         pipeline,
         tile_sweep,
         best_tile,
+        k_sweep,
     };
     let json = serde_json::to_string_pretty(&report).expect("serialize report");
     std::fs::write(&args.out, json + "\n").expect("write report");

@@ -2,19 +2,21 @@
 //!
 //! [`active_kernel`] reads CPUID (and the `KNN_SIMD` variable) once per
 //! process. Every dispatched hot loop matches on its answer: the
-//! distance row kernels in `knn::simd` and the threshold scan of
-//! [`TopK::push`](crate::TopK::push). A host therefore runs one
+//! distance row kernels in `knn::simd`, the threshold scan of
+//! [`TopK::push`](crate::TopK::push) and the final sort of
+//! [`TopK::finish`](crate::TopK::finish). A host therefore runs one
 //! instruction set end to end, and `KNN_SIMD=scalar` forces the
-//! portable code in both layers at once.
+//! portable code in every layer at once.
 
 /// One of the instruction sets the dispatched loops have a body for.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Kernel {
     /// AVX-512 (`avx512f` + `avx512dq` on top of `avx2` + `fma`): the
-    /// four-query distance fill and the mask-compare top-k scan.
+    /// four-query distance fill, the mask-compare top-k scan and the
+    /// bitonic sorting network of the final sort.
     Avx512,
     /// AVX2 with FMA: the one- and two-query distance fill; the top-k
-    /// scan takes the portable body.
+    /// scan and sort take the portable code.
     Avx2,
     /// Portable code only.
     Scalar8,

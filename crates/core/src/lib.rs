@@ -27,9 +27,10 @@
 //! A streaming caller that sees each list one tile at a time keeps its
 //! running k best in a [`TopK`] ([`topk`]): Buffered Search done
 //! natively, where a threshold scan fills one candidate buffer and the
-//! picks are sorted once at the end. The scan has an AVX-512 body,
-//! picked by the one runtime SIMD probe of the native search
-//! ([`dispatch`]), which the `knn` crate's distance kernels share.
+//! picks are sorted once at the end. The scan has an AVX-512 body, and
+//! the sort an AVX-512 bitonic network, both picked by the one runtime
+//! SIMD probe of the native search ([`dispatch`]), which the `knn`
+//! crate's distance kernels share.
 //!
 //! ## Quick start
 //!
@@ -53,6 +54,8 @@ pub mod gpu;
 pub mod hierarchical;
 pub mod queues;
 pub mod select;
+#[cfg(target_arch = "x86_64")]
+mod sortnet;
 pub mod topk;
 pub mod types;
 

@@ -3,7 +3,8 @@
 //! entries, k from 1 to the row
 //! length (and past it), empty rows, rows split across many pushes at
 //! arbitrary offsets with or without a settle between them, and buffer
-//! fills landing just below, at and just above the `2k` cut point.
+//! fills landing just below, at and just above the `2k` cut point; and
+//! `batch-k1024`'s shape, k near 1024 over two 2048-value tiles.
 
 use kselect::topk::STRIP;
 use kselect::{Candidates, Neighbor, TopK};
@@ -45,7 +46,7 @@ fn stream(row: &[f32], k: usize, splits: &[usize], settle_after: &[bool]) -> (Ve
     }
     top.settle(&mut cand);
     let s = top.stats();
-    (top.finish(), s.pushed - s.rejected)
+    (top.finish(&mut cand), s.pushed - s.rejected)
 }
 
 /// A value drawn from few distinct ones (ties everywhere, negatives
@@ -91,6 +92,35 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// knnbench `batch-k1024`'s shape: a 4096-value row arrives as two
+    /// 2048-value tiles, settled after each, and k = 1024 is held at
+    /// the end. k = 1000 and 1025 give the final sort a length that is
+    /// not a power of two. Without the last settle, `finish` makes the
+    /// last cut itself, as the streamed search calls it.
+    #[test]
+    fn two_tiles_at_large_k(row in proptest::collection::vec(value(), 4096)) {
+        for k in [1000, 1024, 1025] {
+            for settle_last in [true, false] {
+                let mut cand = Candidates::new(k);
+                let mut top = TopK::new(k);
+                for (t, tile) in row.chunks(2048).enumerate() {
+                    top.push(&mut cand, tile, (2048 * t) as u32);
+                    if t == 0 || settle_last {
+                        top.settle(&mut cand);
+                    }
+                }
+                let got = top.finish(&mut cand);
+                prop_assert_eq!(bits(&got), oracle(&row, k), "k {} settle_last {}", k, settle_last);
+                let s = top.stats();
+                prop_assert_eq!(s.pushed - s.rejected, got.len() as u64);
+            }
+        }
+    }
+}
+
 #[test]
 fn empty_rows_return_nothing() {
     for k in [1usize, 5] {
@@ -132,7 +162,7 @@ fn buffer_fills_at_2k_minus_1_2k_and_2k_plus_1() {
         let s = top.stats();
         assert_eq!(s.pushed, fill as u64 + 2, "fill {fill}");
         assert_eq!(s.pushed - s.rejected, k as u64, "fill {fill}");
-        assert_eq!(bits(&top.finish()), oracle(&row, k), "fill {fill}");
+        assert_eq!(bits(&top.finish(&mut cand)), oracle(&row, k), "fill {fill}");
     }
 }
 
@@ -160,5 +190,5 @@ fn reloaded_keys_count_toward_the_fill() {
     top.settle(&mut cand);
     let mut row = first;
     row.extend(&second);
-    assert_eq!(bits(&top.finish()), oracle(&row, k));
+    assert_eq!(bits(&top.finish(&mut cand)), oracle(&row, k));
 }

@@ -84,8 +84,9 @@
 //! environment forces the portable kernel (used by tests and benches to
 //! compare the paths on the same machine). The probe lives in
 //! [`kselect::dispatch`] and is re-exported here: the same answer picks
-//! the body of the top-k scan ([`kselect::TopK::push`]), so one host
-//! runs one instruction set in the fill and the selection alike.
+//! the body of the top-k scan ([`kselect::TopK::push`]) and of its final
+//! sort ([`kselect::TopK::finish`]), so one host runs one instruction
+//! set in the fill and the selection alike.
 
 use super::{clamp_non_finite, dot, squared_distance_from_parts, LANES};
 use crate::dataset::PointSet;

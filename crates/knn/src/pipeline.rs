@@ -316,8 +316,12 @@ pub fn knn_search_streamed_parallel(
 /// query's running k-th distance is appended to the worker's one
 /// [`Candidates`] buffer of `2k + 64` keys, and a full buffer is cut
 /// to the k smallest mid-tile, which tightens the bound. The settle
-/// cuts to k and keeps those keys as the query's state; on the query's
-/// last tile it also sorts them, the one sort of the query's picks.
+/// cuts to k and keeps those keys as the query's state. On the query's
+/// last tile [`TopK::finish`] takes the settle's place: it cuts to k
+/// and sorts those keys in the worker's buffer, the one sort of the
+/// query's picks, by a bitonic network on the `avx512` dispatch and
+/// `sort_unstable` on the others (the same order, since no two keys
+/// are equal).
 /// A value at or above the bound has a larger id than the k-th key,
 /// so it loses the `(dist, id)` order and skipping it is exact. Each
 /// query's tiles are pushed in ascending order at any thread count, so
@@ -479,9 +483,10 @@ pub(crate) fn stream<O: PhaseObserver, C: CancelToken, T: TimelineHooks>(
                             top.push(&mut cand, row, r0 as u32)
                         });
                         obs.timed_q(Phase::TileMerge, qi, || {
-                            top.settle(&mut cand);
                             if last {
-                                *o = top.finish();
+                                *o = top.finish(&mut cand);
+                            } else {
+                                top.settle(&mut cand);
                             }
                         });
                     }

@@ -59,11 +59,14 @@ use check::lint::{
 /// `core/src/topk.rs` holds the top-k threshold scan, dispatched to an
 /// AVX-512 body like the distance kernels: it runs once per query and
 /// tile, so a clock read or an unwrap there would run in every tile.
+/// `core/src/sortnet.rs` holds the AVX-512 sorting network that
+/// `TopK::finish` dispatches to: it runs once per query, on the same
+/// hot path as the scan.
 /// `trace/src/timeline.rs` is scanned because worker timelines must be
 /// clock-free by construction: every timestamp they hold arrives
 /// pre-stamped by the metered layer, so an `Instant` read there would
 /// silently fork the repo's single-clock discipline.
-const SCAN_ROOTS: [&str; 9] = [
+const SCAN_ROOTS: [&str; 10] = [
     "crates/core/src/gpu",
     "crates/simt/src",
     "crates/trace/src/metrics.rs",
@@ -71,6 +74,7 @@ const SCAN_ROOTS: [&str; 9] = [
     "crates/knn/src/metered.rs",
     "crates/knn/src/distance/simd.rs",
     "crates/core/src/topk.rs",
+    "crates/core/src/sortnet.rs",
     "crates/trace/src/timeline.rs",
     "crates/serve/src",
 ];
