@@ -3,10 +3,9 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use knn::{
-    block, cpu_select_parallel, cpu_select_serial, distance_matrix, knn_search,
-    knn_search_streamed_parallel, PointSet,
+    block, cpu_select_parallel, cpu_select_serial, distance_matrix, Hooks, Index, PointSet,
+    SearchPlan,
 };
-use kselect::{QueueKind, SelectConfig};
 use rand::{Rng, SeedableRng};
 
 /// The pre-blocking scalar kernel (one loop-carried accumulator per
@@ -57,26 +56,19 @@ fn bench_pipeline(c: &mut Criterion) {
     g.bench_function("distance_matrix", |b| {
         b.iter(|| black_box(distance_matrix(black_box(&queries), black_box(&refs))))
     });
-    g.bench_function("end_to_end_merge_optimized_k64", |b| {
-        let cfg = SelectConfig::optimized(QueueKind::Merge, 64);
-        b.iter(|| black_box(knn_search(black_box(&queries), black_box(&refs), &cfg)))
+    g.bench_function("index_new", |b| {
+        b.iter(|| black_box(Index::new(black_box(&refs))))
     });
-    g.bench_function("end_to_end_insertion_plain_k64", |b| {
-        let cfg = SelectConfig::plain(QueueKind::Insertion, 64);
-        b.iter(|| black_box(knn_search(black_box(&queries), black_box(&refs), &cfg)))
-    });
-    g.bench_function("end_to_end_streamed_merge_k64_tile1024", |b| {
-        let cfg = SelectConfig::optimized(QueueKind::Merge, 64);
-        b.iter(|| {
-            black_box(knn_search_streamed_parallel(
-                black_box(&queries),
-                black_box(&refs),
-                &cfg,
-                1024,
-                1,
-            ))
-        })
-    });
+    let index = Index::new(&refs).expect("non-empty references");
+    for (name, tile) in [
+        ("end_to_end_k64", block::DEFAULT_STREAM_TILE),
+        ("end_to_end_k64_tile1024", 1024),
+    ] {
+        let plan = SearchPlan::new(64).with_tile(tile);
+        g.bench_function(name, |b| {
+            b.iter(|| black_box(index.search(black_box(&queries), &plan, Hooks::NONE)))
+        });
+    }
     g.finish();
 
     // CPU selection baselines over precomputed distances (Table I rows).

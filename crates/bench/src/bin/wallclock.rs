@@ -21,9 +21,10 @@
 //!   (`knn::block::squared_distances`), counting 2·Q·N·dim flops;
 //! * `pipeline.*_qps` — end-to-end queries/second of the materialized
 //!   (full Q×N matrix, then per-row selection) and tile-streamed
-//!   (`knn_search_streamed_parallel` on `--threads` workers) paths,
-//!   which are asserted to return identical neighbors before any number
-//!   is written;
+//!   (`knn::Index::search` on `--threads` workers, the index and its
+//!   reference norms built once before timing) paths, which are
+//!   asserted to return identical neighbors before any number is
+//!   written;
 //! * `*_peak_distance_bytes` — the distance-buffer working set of each
 //!   path: Q·N·4 materialized; streamed, the `knn.scratch.peak_bytes`
 //!   the pipeline reports on an untimed metered run (four tile rows per
@@ -60,7 +61,7 @@
 
 use std::time::Instant;
 
-use knn::{block, knn_search_streamed_parallel, PointSet};
+use knn::{block, Hooks, Index, PointSet, SearchPlan};
 use kselect::{QueueKind, SelectConfig};
 use rayon::prelude::*;
 use serde::Serialize;
@@ -368,17 +369,18 @@ fn main() {
     // itself reports it (`knn.scratch.peak_bytes`) on one untimed metered
     // run per tile, so the artifact cannot drift from the code. The run
     // is checked against the materialized neighbors too.
-    let euclid = knn::Metric::SquaredEuclidean;
+    let index = Index::new(&refs).expect("a non-empty reference set");
+    let plan = |k: usize, tile: usize| SearchPlan::new(k).with_tile(tile).with_threads(workers);
     let streamed_peak = |t: usize| -> u64 {
         let tile_reg = MetricsRegistry::new();
         let ins = knn::Instruments {
             registry: Some(&tile_reg),
             ..knn::Instruments::default()
         };
-        let nb =
-            knn::knn_search_streamed_instrumented(&queries, &refs, &cfg, euclid, t, workers, &ins);
+        let nb = knn::knn_search_streamed_instrumented(&index, &queries, &plan(k, t), &ins);
         assert_eq!(
-            nb, mat_neighbors,
+            nb.as_ref(),
+            Ok(&mat_neighbors),
             "metered streamed pipeline (tile {t}) disagrees with the materialized oracle"
         );
         tile_reg.peak(knn::metered::SCRATCH_PEAK_BYTES)
@@ -391,10 +393,11 @@ fn main() {
             format!("wallclock.sweep.tile_{t}_ns")
         };
         let (secs, nb) = time_best(2, &reg, &metric, || {
-            knn_search_streamed_parallel(&queries, &refs, &cfg, t, workers)
+            index.search(&queries, &plan(k, t), Hooks::NONE)
         });
         assert_eq!(
-            nb, mat_neighbors,
+            nb.as_ref(),
+            Ok(&mat_neighbors),
             "streamed (tile {t}, {workers} thread(s)) and materialized pipelines \
              disagree — refusing to write numbers"
         );
@@ -426,11 +429,10 @@ fn main() {
             timeline: Some(&tl),
             ..knn::Instruments::default()
         };
-        let nb = knn::knn_search_streamed_instrumented(
-            &queries, &refs, &cfg, euclid, tile, workers, &ins,
-        );
+        let nb = knn::knn_search_streamed_instrumented(&index, &queries, &plan(k, tile), &ins);
         assert_eq!(
-            nb, mat_neighbors,
+            nb.as_ref(),
+            Ok(&mat_neighbors),
             "instrumented streamed pipeline disagrees with the materialized oracle"
         );
         let t = tl.report();
@@ -487,19 +489,19 @@ fn main() {
     // (every repetition checked), then once metered for the merge share.
     let mut k_sweep = Vec::new();
     for sk in SWEEP_KS.into_iter().filter(|&sk| sk <= n) {
-        let scfg = SelectConfig::optimized(QueueKind::Merge, sk);
         let want = sorted_prefix(&blocked, sk);
         let mut qps = Vec::with_capacity(K_SWEEP_REPS);
         for _ in 0..K_SWEEP_REPS {
             let t0 = Instant::now();
-            let nb = knn_search_streamed_parallel(&queries, &refs, &scfg, tile, workers);
+            let nb = index.search(&queries, &plan(sk, tile), Hooks::NONE);
             let dt = t0.elapsed();
             reg.observe_ns(
                 &format!("wallclock.k_sweep.k_{sk}_ns"),
                 dt.as_nanos() as u64,
             );
             assert_eq!(
-                nb, want,
+                nb.as_ref(),
+                Ok(&want),
                 "streamed search at k {sk} disagrees with the sort oracle"
             );
             qps.push(q as f64 / dt.as_secs_f64());
@@ -510,12 +512,11 @@ fn main() {
             ..knn::Instruments::default()
         };
         let t0 = Instant::now();
-        let nb = knn::knn_search_streamed_instrumented(
-            &queries, &refs, &scfg, euclid, tile, workers, &ins,
-        );
+        let nb = knn::knn_search_streamed_instrumented(&index, &queries, &plan(sk, tile), &ins);
         let lane_ns = t0.elapsed().as_nanos() as f64 * workers as f64;
         assert_eq!(
-            nb, want,
+            nb.as_ref(),
+            Ok(&want),
             "metered search at k {sk} disagrees with the sort oracle"
         );
         let merge_metric = knn::metered::phase_metric(knn::Phase::TileMerge);

@@ -3,7 +3,7 @@
 use std::path::Path;
 use std::time::Instant;
 
-use knn::{validate_points, Metric, PointSet};
+use knn::{validate_points, PointSet};
 use kselect::gpu::{gpu_select_k, DistanceMatrix, GpuResilience};
 use kselect::{select_k, KnnError, QueueKind, SelectConfig};
 use rand::{Rng, SeedableRng};
@@ -19,7 +19,7 @@ use crate::io;
 /// Round k up to a valid Merge Queue capacity (m·2^j with the fixed
 /// m = 8 of [`SelectConfig`]) so the simulated kernels accept any k for
 /// any queue; extra entries are trimmed after selection. The native
-/// search reads only k and takes it as given (see [`checked_k`]).
+/// search takes k as given; its [`knn::Index`] checks it.
 fn padded_k(queue: QueueKind, k: usize) -> usize {
     match queue {
         QueueKind::Merge => kselect::queues::merge::padded_capacity(k, 8),
@@ -45,16 +45,10 @@ fn checked_padded_k(queue: QueueKind, k: usize, n: usize) -> Option<usize> {
     None
 }
 
-/// A native search's k checked against its `n` references: a zero k or
-/// one past `n` prints the typed [`KnnError`] and returns `false` (the
-/// caller exits 1).
-fn checked_k(k: usize, n: usize) -> bool {
-    if k == 0 || k > n {
-        let e = KnnError::InvalidK { k, n };
-        eprintln!("error: {}: {e}", e.name());
-        return false;
-    }
-    true
+/// Print a run-time [`KnnError`] and return exit code 1.
+fn failed(e: KnnError) -> i32 {
+    eprintln!("error: {}: {e}", e.name());
+    1
 }
 
 /// Write `body` to `path`; on failure say so on stderr and return
@@ -276,17 +270,15 @@ fn run_search(a: SearchArgs) -> i32 {
     let (Ok(refs), Ok(queries)) = (load(&a.refs, "refs"), load(&a.queries, "queries")) else {
         return 1;
     };
-    if !checked_k(a.k, refs.len()) {
-        return 1;
-    }
     for (pts, label) in [(&queries, "query"), (&refs, "reference")] {
         if let Err(e) = validate_points(pts, label) {
-            eprintln!("error: {}: {e}", e.name());
-            return 1;
+            return failed(e);
         }
     }
-    // The streamed loop reads only k from the config.
-    let cfg = SelectConfig::optimized(QueueKind::Merge, a.k);
+    let index = match knn::Index::new(&refs) {
+        Ok(index) => index,
+        Err(e) => return failed(e),
+    };
     let registry = a.sinks.metrics_out.as_ref().map(|_| MetricsRegistry::new());
     let jn = make_journal(&a.sinks.journal);
     let workers = knn::resolve_threads(a.threads);
@@ -302,10 +294,14 @@ fn run_search(a: SearchArgs) -> i32 {
         timeline: tlo.as_ref(),
         tag: "search",
     };
+    let plan = knn::SearchPlan::new(a.k)
+        .with_metric(metric)
+        .with_threads(workers);
     let t0 = Instant::now();
-    let tile = knn::DEFAULT_STREAM_TILE;
-    let results =
-        knn::knn_search_streamed_instrumented(&queries, &refs, &cfg, metric, tile, workers, &ins);
+    let results = match knn::knn_search_streamed_instrumented(&index, &queries, &plan, &ins) {
+        Ok(results) => results,
+        Err(e) => return failed(e),
+    };
     let dt = t0.elapsed().as_secs_f64();
     let tl_report = tlo.as_ref().map(|tl| tl.report());
     if !write_artifacts(&a.sinks, registry.as_ref(), tl_report.as_ref(), jn.as_ref()) {
@@ -509,15 +505,15 @@ const STATS_TILES: [usize; 4] = [1024, 2048, 4096, 8192];
 /// `knn-cli stats`: run the native streamed pipeline at every tile of
 /// [`STATS_TILES`] with the metrics registry attached, print per-tile
 /// QPS plus the aggregated latency histograms, and optionally export
-/// the registry snapshot. The search reads only k, so one
-/// configuration covers every queue kind.
+/// the registry snapshot. The search is one [`knn::SearchPlan`] per
+/// tile; a bad k prints the index's typed error.
 fn run_stats(a: StatsArgs) -> i32 {
     let (n, dim, k, queries) = (a.n, a.dim, a.k, a.queries);
-    let refs = PointSet::uniform(n, dim, 11);
+    let index = match knn::Index::new(PointSet::uniform(n, dim, 11)) {
+        Ok(index) => index,
+        Err(e) => return failed(e),
+    };
     let qs = PointSet::uniform(queries, dim, 12);
-    if !checked_k(k, n) {
-        return 1;
-    }
     let workers = knn::resolve_threads(a.threads);
     let reg = MetricsRegistry::new();
     record_runtime_config(&reg, workers);
@@ -539,14 +535,16 @@ fn run_stats(a: StatsArgs) -> i32 {
         knn::dispatch_name()
     );
     println!("{:>6} {:>12} {:>14}", "tile", "qps", "ms total");
-    let cfg = SelectConfig::optimized(QueueKind::Merge, k);
-    let metric = Metric::SquaredEuclidean;
     for tile in STATS_TILES {
+        let plan = knn::SearchPlan::new(k)
+            .with_tile(tile)
+            .with_threads(workers);
         let t0 = Instant::now();
-        let out =
-            knn::knn_search_streamed_instrumented(&qs, &refs, &cfg, metric, tile, workers, &ins);
+        let out = knn::knn_search_streamed_instrumented(&index, &qs, &plan, &ins);
         let dt = t0.elapsed().as_secs_f64();
-        std::hint::black_box(&out);
+        if let Err(e) = std::hint::black_box(out) {
+            return failed(e);
+        }
         println!(
             "{:>6} {:>12.1} {:>14.2}",
             tile,
@@ -753,15 +751,15 @@ fn run_serve(a: ServeArgs) -> i32 {
     record_runtime_config(&reg, knn::resolve_threads(a.threads));
     let jn = make_journal(&a.sinks.journal);
     // Serving timelines run on the simulated clock: track 0 is the
-    // server, track 1 the admission queue (see `serve::run_timelined`).
+    // server, track 1 the admission queue (see `serve::run`).
     let tl_rec = a
         .sinks
         .timeline_out
         .as_ref()
         .map(|_| trace::TimelineRecorder::with_names(&["server", "queue"]));
     let summary = match &jn {
-        Some(j) => serve::run_timelined(&cfg, &reg, j, tl_rec.as_ref()),
-        None => serve::run_timelined(&cfg, &reg, &trace::NullJournal, tl_rec.as_ref()),
+        Some(j) => serve::run(&cfg, &reg, j, tl_rec.as_ref()),
+        None => serve::run(&cfg, &reg, &trace::NullJournal, tl_rec.as_ref()),
     };
     let s = match summary {
         Ok(s) => s,

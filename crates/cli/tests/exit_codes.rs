@@ -170,9 +170,18 @@ fn report_top_without_a_journal_exits_2() {
 
 /// Inputs that used to be silently ignored, misparsed or panicked, and
 /// the code each must exit with now: 2 for a rejected invocation, 1 for
-/// a typed `invalid-k` at run time.
+/// a typed `invalid-k` at run time. Runs in a directory holding 16
+/// references (`r.f32`) and 3 queries (`q.f32`) of dimension 4.
 #[test]
 fn ignored_or_panicking_inputs_exit_with_their_code() {
+    let dir = scratch("table");
+    for (name, count) in [("r.f32", "16"), ("q.f32", "3")] {
+        let out = run_in(
+            Some(&dir),
+            &["generate", "--count", count, "--dim", "4", "--out", name],
+        );
+        assert_eq!(out.status.code(), Some(0), "generate {name}");
+    }
     let table: &[(&str, i32)] = &[
         ("bench --n 2048 --k 16 --bogus-flag 7", 2),
         ("bench --n 2048 --k 16 --thread 2", 2),
@@ -208,11 +217,25 @@ fn ignored_or_panicking_inputs_exit_with_their_code() {
         ("serve --n 64 --k 8 --stride 16", 1),
         ("serve --n 64 --k 8 --stride 64", 1),
         ("serve --n 64 --k 64", 1),
+        ("search --refs r.f32 --queries q.f32 --dim 4 --k 0", 1),
+        ("search --refs r.f32 --queries q.f32 --dim 4 --k 17", 1),
+        ("search --refs r.f32 --queries q.f32 --dim 4 --k 16", 0),
+        ("stats --n 64 --k 0 --dim 4 --queries 4", 1),
+        ("stats --n 64 --k 65 --dim 4 --queries 4", 1),
     ];
     for (argv, want) in table {
         let args: Vec<&str> = argv.split(' ').collect();
-        assert_eq!(knn_cli(&args), *want, "knn-cli {argv}");
+        let out = run_in(Some(&dir), &args);
+        assert_eq!(out.status.code(), Some(*want), "knn-cli {argv}");
+        if *want == 1 && args[0] != "serve" {
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                stderr.contains("error: invalid-k"),
+                "knn-cli {argv}: {stderr}"
+            );
+        }
     }
+    let _ = std::fs::remove_dir_all(&dir);
     let help = run_in(None, &["bench", "--n", "2048", "--k", "16", "--help"]);
     let stdout = String::from_utf8_lossy(&help.stdout);
     assert!(

@@ -61,6 +61,16 @@ pub enum KnnError {
         value: usize,
         min: usize,
     },
+    /// The queries and the references have different dimensions.
+    DimMismatch { queries: usize, refs: usize },
+    /// A streamed search was stopped at a tile boundary by its cancel
+    /// token after `tiles_done` of its `tiles_total` tiles. No partial
+    /// result is returned: a top-k over a prefix of the references is
+    /// not the exact answer.
+    Cancelled {
+        tiles_done: usize,
+        tiles_total: usize,
+    },
 }
 
 impl KnnError {
@@ -79,6 +89,8 @@ impl KnnError {
             KnnError::DeadlineExceeded { .. } => "deadline-exceeded",
             KnnError::LimitExceeded { .. } => "limit-exceeded",
             KnnError::InvalidParam { .. } => "invalid-param",
+            KnnError::DimMismatch { .. } => "dim-mismatch",
+            KnnError::Cancelled { .. } => "cancelled",
         }
     }
 }
@@ -136,6 +148,16 @@ impl core::fmt::Display for KnnError {
             KnnError::InvalidParam { what, value, min } => {
                 write!(f, "{what} = {value} is invalid (need at least {min})")
             }
+            KnnError::DimMismatch { queries, refs } => {
+                write!(
+                    f,
+                    "queries have {queries} dimensions but references have {refs}"
+                )
+            }
+            KnnError::Cancelled {
+                tiles_done,
+                tiles_total,
+            } => write!(f, "cancelled after {tiles_done} of {tiles_total} tiles"),
         }
     }
 }
@@ -220,6 +242,22 @@ mod tests {
                 },
                 "invalid-param",
                 "buffer size = 0",
+            ),
+            (
+                KnnError::DimMismatch {
+                    queries: 4,
+                    refs: 8,
+                },
+                "dim-mismatch",
+                "4 dimensions but references have 8",
+            ),
+            (
+                KnnError::Cancelled {
+                    tiles_done: 3,
+                    tiles_total: 7,
+                },
+                "cancelled",
+                "3 of 7 tiles",
             ),
         ];
         for (err, name, fragment) in cases {

@@ -2,6 +2,8 @@
 //! query and reference tuples with dimensionality 128, each coordinate
 //! uniform in [0, 1], deterministic under a seed.
 
+use std::borrow::Cow;
+
 use rand::{Rng, SeedableRng};
 
 /// A dense row-major set of `count` points of dimension `dim`.
@@ -56,6 +58,20 @@ impl PointSet {
     /// The raw row-major data.
     pub fn as_flat(&self) -> &[f32] {
         &self.data
+    }
+}
+
+/// An owned set, for [`crate::Index::new`].
+impl From<PointSet> for Cow<'_, PointSet> {
+    fn from(points: PointSet) -> Self {
+        Cow::Owned(points)
+    }
+}
+
+/// A borrowed set, for [`crate::Index::new`].
+impl<'a> From<&'a PointSet> for Cow<'a, PointSet> {
+    fn from(points: &'a PointSet) -> Self {
+        Cow::Borrowed(points)
     }
 }
 

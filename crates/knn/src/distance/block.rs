@@ -26,7 +26,7 @@
 //! scalar reference bit for bit (property-tested).
 //!
 //! Both this kernel and the tile-streamed search path
-//! ([`crate::pipeline::knn_search_streamed_parallel`]) fill rows in
+//! ([`crate::Index::search`]) fill rows in
 //! query quads through [`simd::fill_rows_quad`], so on the AVX-512
 //! kernel each reference chunk is loaded once for four queries (once
 //! for two on AVX2). The streamed path fills one quad × one reference

@@ -71,18 +71,16 @@ pub fn mean_recall(results: &[Vec<Neighbor>], truths: &[Vec<Neighbor>], k: usize
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kselect::{QueueKind, SelectConfig};
+    use crate::{Hooks, Index, SearchPlan};
 
     #[test]
     fn exact_search_has_unit_recall() {
         let refs = PointSet::uniform(300, 16, 1);
         let queries = PointSet::uniform(10, 16, 2);
         let truth = ground_truth(&queries, &refs, 8, Metric::SquaredEuclidean);
-        let res = crate::knn_search(
-            &queries,
-            &refs,
-            &SelectConfig::optimized(QueueKind::Merge, 8),
-        );
+        let index = Index::new(&refs).unwrap();
+        let res = index.search(&queries, &SearchPlan::new(8), Hooks::NONE);
+        let res = res.unwrap();
         assert_eq!(mean_recall(&res, &truth, 8), 1.0);
     }
 

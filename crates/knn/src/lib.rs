@@ -7,15 +7,19 @@
 //! rows), the PCIe transfer model ([`pcie`], the "Data Copy" row), and
 //! end-to-end pipelines ([`pipeline`]).
 //!
+//! Native search is one prepared [`Index`] and one
+//! [`Index::search`] under a [`SearchPlan`]:
+//!
 //! ```
-//! use knn::{PointSet, knn_search};
-//! use kselect::{SelectConfig, QueueKind};
+//! use knn::{Hooks, Index, PointSet, SearchPlan};
 //!
 //! let refs = PointSet::uniform(1000, 32, 1);
 //! let queries = PointSet::uniform(4, 32, 2);
-//! let knn = knn_search(&queries, &refs, &SelectConfig::optimized(QueueKind::Merge, 8));
+//! let index = Index::new(&refs)?;
+//! let knn = index.search(&queries, &SearchPlan::new(8), Hooks::NONE)?;
 //! assert_eq!(knn.len(), 4);
 //! assert_eq!(knn[0].len(), 8);
+//! # Ok::<(), kselect::KnnError>(())
 //! ```
 
 pub mod cpu;
@@ -46,7 +50,7 @@ pub use pcie::{data_copy_time, transfer_with_faults, PcieReport};
 pub use pipeline::{
     gpu_knn, gpu_knn_resilient, gpu_knn_resilient_deadline, gpu_knn_resilient_journaled,
     gpu_knn_traced, knn_search, knn_search_streamed_parallel,
-    knn_search_streamed_parallel_timelined, knn_search_with, knn_search_with_observed, queue_tag,
-    resolve_threads, validate_points, CancelToken, Cancelled, GpuKnnResult, NeverCancel,
-    NullObserver, Phase, PhaseObserver, ResilientKnnResult, TileBudget,
+    knn_search_streamed_parallel_timelined, knn_search_with_observed, queue_tag, resolve_threads,
+    validate_points, CancelToken, GpuKnnResult, Hooks, Index, NeverCancel, NullObserver, Phase,
+    PhaseObserver, ResilientKnnResult, SearchPlan, TileBudget,
 };

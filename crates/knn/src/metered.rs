@@ -12,9 +12,9 @@
 //! monomorphizes the hooks away entirely.
 //!
 //! One entry point covers every combination of sinks:
-//! [`knn_search_streamed_instrumented`], the streamed loop every native
-//! search runs, under any metric and thread count. It takes an
-//! [`Instruments`] bundle and picks the observer internally: a
+//! [`knn_search_streamed_instrumented`], [`Index::search`] under any
+//! [`SearchPlan`]. It takes an [`Instruments`] bundle and picks the
+//! observer internally: a
 //! [`JournalObserver`] when a live journal is given (it forwards to the
 //! registry too, so one set of clock reads feeds both), a
 //! [`RegistryObserver`] for a registry alone, and [`NullObserver`] — the
@@ -40,15 +40,13 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use kselect::types::Neighbor;
-use kselect::SelectConfig;
+use kselect::KnnError;
 use trace::journal::{phases, Journal, QueryRecord};
 use trace::metrics::MetricsRegistry;
 use trace::timeline::{SpanKind, TimelineHooks, TimelineRecorder, TimelineReport};
-use trace::NullTimeline;
 
 use crate::dataset::PointSet;
-use crate::metric::Metric;
-use crate::pipeline::{queue_tag, stream, NeverCancel, NullObserver, Phase, PhaseObserver};
+use crate::pipeline::{Hooks, Index, NullObserver, Phase, PhaseObserver, SearchPlan};
 
 /// Histogram name a [`Phase`] records under.
 pub fn phase_metric(phase: Phase) -> &'static str {
@@ -164,8 +162,10 @@ impl<'a> JournalObserver<'a> {
 
     /// Emit one [`QueryRecord`] per query into `journal`. `blocks`
     /// counts reference tiles crossed per query; `total_ns` is the sum
-    /// of the query's tile phases.
-    fn flush(&self, journal: &dyn Journal, cfg: &SelectConfig, tag: &str, tile: u64, blocks: u32) {
+    /// of the query's tile phases. The `queue` field reads `merge`, the
+    /// tag native records carried when a search still took a queue
+    /// kind, so the journal schema is unchanged.
+    fn flush(&self, journal: &dyn Journal, tag: &str, tile: u64, blocks: u32) {
         let scratch_bytes = *self.scratch.lock().unwrap_or_else(|e| e.into_inner());
         for (qi, slot) in self.drafts.iter().enumerate() {
             let d = *slot.lock().unwrap_or_else(|e| e.into_inner());
@@ -178,7 +178,7 @@ impl<'a> JournalObserver<'a> {
             .to_vec();
             journal.record(QueryRecord {
                 query: qi as u64,
-                queue: queue_tag(cfg),
+                queue: "merge".to_string(),
                 tag: tag.to_string(),
                 tile,
                 total_ns: d.tile_fill_ns + d.tile_select_ns + d.tile_merge_ns,
@@ -343,75 +343,87 @@ pub struct Instruments<'a> {
     pub tag: &'a str,
 }
 
-/// [`crate::knn_search_with`] on `threads` workers and `tile`-length
-/// reference tiles, reporting into `ins`: per query × tile
-/// fill/select/merge histograms, the scratch peak, stream-merge totals,
-/// one journal record per query (tile phases summed across tiles,
-/// per-query merge counts, the owning worker), and the timeline's block
-/// lanes at every thread count. Observers are thread-safe, so totals
-/// and per-query records are exact at any thread count. Same results as
-/// the plain path.
+/// [`Index::search`] of `queries` under `plan`, reporting into `ins`:
+/// per query × tile fill/select/merge histograms, the scratch peak,
+/// stream-merge totals, one journal record per query (tile phases
+/// summed across tiles, per-query merge counts, the owning worker), and
+/// the timeline's block lanes at every thread count. Observers are
+/// thread-safe, so totals and per-query records are exact at any thread
+/// count. Same results as the plain path.
 ///
-/// # Panics
-/// When `tile` is zero, `cfg.k` is zero or exceeds the number of
-/// references, or the point sets disagree on dimensionality.
+/// # Errors
+/// As [`Index::search`]; a failed search records nothing.
 pub fn knn_search_streamed_instrumented(
+    index: &Index<'_>,
     queries: &PointSet,
-    refs: &PointSet,
-    cfg: &SelectConfig,
-    metric: Metric,
-    tile: usize,
-    threads: usize,
+    plan: &SearchPlan,
     ins: &Instruments<'_>,
-) -> Vec<Vec<Neighbor>> {
+) -> Result<Vec<Vec<Neighbor>>, KnnError> {
+    let tl = ins.timeline;
+    let out = match (ins.journal.filter(|j| j.enabled()), ins.registry) {
+        (Some(journal), registry) => {
+            let obs = JournalObserver::new(queries.len(), registry);
+            let out = run(index, queries, plan, &obs, tl)?;
+            let n = index.refs().len();
+            let eff_tile = plan.tile.min(n);
+            let blocks = n.div_ceil(eff_tile) as u32;
+            obs.flush(journal, ins.tag, eff_tile as u64, blocks);
+            out
+        }
+        (None, Some(reg)) => run(index, queries, plan, &RegistryObserver::new(reg), tl)?,
+        (None, None) => run(index, queries, plan, &NullObserver, tl)?,
+    };
     if let Some(reg) = ins.registry {
         reg.inc(QUERIES, queries.len() as u64);
     }
-    let tl = ins.timeline;
-    match (ins.journal.filter(|j| j.enabled()), ins.registry) {
-        (Some(journal), registry) => {
-            let obs = JournalObserver::new(queries.len(), registry);
-            let out = run(&obs, queries, refs, cfg, metric, tile, threads, tl);
-            let eff_tile = tile.min(refs.len().max(1));
-            let blocks = refs.len().div_ceil(eff_tile) as u32;
-            obs.flush(journal, cfg, ins.tag, eff_tile as u64, blocks);
-            out
-        }
-        (None, Some(reg)) => {
-            let obs = RegistryObserver::new(reg);
-            run(&obs, queries, refs, cfg, metric, tile, threads, tl)
-        }
-        (None, None) => run(&NullObserver, queries, refs, cfg, metric, tile, threads, tl),
-    }
+    Ok(out)
 }
 
-/// The streamed loop under `obs`, on `timeline`'s tracks when one is
-/// given.
-#[allow(clippy::too_many_arguments)]
+/// The search under `obs`, on `timeline`'s tracks when one is given.
 fn run<O: PhaseObserver>(
-    obs: &O,
+    index: &Index<'_>,
     queries: &PointSet,
-    refs: &PointSet,
-    cfg: &SelectConfig,
-    metric: Metric,
-    tile: usize,
-    threads: usize,
+    plan: &SearchPlan,
+    obs: &O,
     timeline: Option<&TimelineObserver<'_>>,
-) -> Vec<Vec<Neighbor>> {
-    let (never, null) = (&NeverCancel, &NullTimeline);
-    let out = match timeline {
-        Some(tl) => stream(queries, refs, cfg, metric, tile, threads, obs, never, tl),
-        None => stream(queries, refs, cfg, metric, tile, threads, obs, never, null),
-    };
-    out.unwrap_or_else(|c| unreachable!("NeverCancel cancelled at tile {}", c.tiles_done))
+) -> Result<Vec<Vec<Neighbor>>, KnnError> {
+    let hooks = Hooks::NONE.with_observer(obs);
+    match timeline {
+        Some(tl) => index.search(queries, plan, hooks.with_timeline(tl)),
+        None => index.search(queries, plan, hooks),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{knn_search_streamed_parallel, knn_search_with};
-    use kselect::QueueKind;
+    use crate::metric::Metric;
     use trace::{EventJournal, JournalConfig, NullJournal};
+
+    /// `k` neighbors under `metric` at `tile` on `threads` workers.
+    fn plan(k: usize, metric: Metric, tile: usize, threads: usize) -> SearchPlan {
+        SearchPlan::new(k)
+            .with_metric(metric)
+            .with_tile(tile)
+            .with_threads(threads)
+    }
+
+    /// The search with no hooks.
+    fn plain(queries: &PointSet, refs: &PointSet, plan: SearchPlan) -> Vec<Vec<Neighbor>> {
+        let index = Index::new(refs).unwrap();
+        index.search(queries, &plan, Hooks::NONE).unwrap()
+    }
+
+    /// The search reporting into `ins`.
+    fn instrumented(
+        queries: &PointSet,
+        refs: &PointSet,
+        plan: SearchPlan,
+        ins: &Instruments<'_>,
+    ) -> Vec<Vec<Neighbor>> {
+        let index = Index::new(refs).unwrap();
+        knn_search_streamed_instrumented(&index, queries, &plan, ins).unwrap()
+    }
 
     fn metered(reg: &MetricsRegistry) -> Instruments<'_> {
         Instruments {
@@ -466,22 +478,13 @@ mod tests {
     fn metered_searches_match_unmetered_and_populate_the_registry() {
         let queries = PointSet::uniform(24, 12, 131);
         let refs = PointSet::uniform(400, 12, 132);
-        let cfg = SelectConfig::plain(QueueKind::Merge, 16);
-        let euclid = Metric::SquaredEuclidean;
+        let euclid = plan(16, Metric::SquaredEuclidean, 100, 1);
 
-        let streamed_plain = knn_search_streamed_parallel(&queries, &refs, &cfg, 100, 1);
+        let streamed_plain = plain(&queries, &refs, euclid);
         let streamed_reg = MetricsRegistry::new();
-        let streamed = knn_search_streamed_instrumented(
-            &queries,
-            &refs,
-            &cfg,
-            euclid,
-            100,
-            1,
-            &metered(&streamed_reg),
-        );
+        let streamed = instrumented(&queries, &refs, euclid, &metered(&streamed_reg));
         assert_eq!(streamed, streamed_plain, "metering must not change results");
-        assert_eq!(streamed, knn_search_with(&queries, &refs, &cfg, euclid));
+        assert_eq!(streamed, plain(&queries, &refs, SearchPlan::new(16)));
         // four tile rows per worker, one per query of the quad the
         // distance kernel fills at once, plus its query pack (4 × dim 12)
         assert_eq!(
@@ -526,20 +529,9 @@ mod tests {
         // one worker.
         for metric in [Metric::Manhattan, Metric::Cosine, Metric::NegativeDot] {
             let reg = MetricsRegistry::new();
-            let out = knn_search_streamed_instrumented(
-                &queries,
-                &refs,
-                &cfg,
-                metric,
-                4096,
-                1,
-                &metered(&reg),
-            );
-            assert_eq!(
-                out,
-                knn_search_with(&queries, &refs, &cfg, metric),
-                "{metric:?}"
-            );
+            let out = instrumented(&queries, &refs, plan(16, metric, 4096, 1), &metered(&reg));
+            let library = SearchPlan::new(16).with_metric(metric);
+            assert_eq!(out, plain(&queries, &refs, library), "{metric:?}");
             let peak = (4 * 400 + 4 * 12) * 4;
             assert_eq!(reg.peak(SCRATCH_PEAK_BYTES), peak, "{metric:?}");
             assert_eq!(hist(&reg, "knn.tile.merge_ns"), 24, "{metric:?}");
@@ -550,17 +542,15 @@ mod tests {
     fn journaled_searches_match_plain_and_emit_one_record_per_query() {
         let queries = PointSet::uniform(16, 10, 135);
         let refs = PointSet::uniform(300, 10, 136);
-        let cfg = SelectConfig::plain(QueueKind::Merge, 8);
-        let euclid = Metric::SquaredEuclidean;
-        let plain = knn_search_streamed_parallel(&queries, &refs, &cfg, 100, 1);
+        let euclid = plan(8, Metric::SquaredEuclidean, 100, 1);
+        let plain = plain(&queries, &refs, euclid);
 
         // disabled journal, no registry: plain path, nothing recorded
         let off = Instruments {
             journal: Some(&NullJournal),
             ..Instruments::default()
         };
-        let out = knn_search_streamed_instrumented(&queries, &refs, &cfg, euclid, 100, 1, &off);
-        assert_eq!(out, plain);
+        assert_eq!(instrumented(&queries, &refs, euclid, &off), plain);
 
         // live journal + registry: tile phases sum, per-query merge
         // stats, blocks count
@@ -572,8 +562,7 @@ mod tests {
             tag: "stream-run",
             ..Instruments::default()
         };
-        let out = knn_search_streamed_instrumented(&queries, &refs, &cfg, euclid, 100, 1, &ins);
-        assert_eq!(out, plain);
+        assert_eq!(instrumented(&queries, &refs, euclid, &ins), plain);
         assert_eq!(reg.counter(QUERIES), 16, "registry forwarding stays on");
         let snap = journal.snapshot();
         assert_eq!(snap.len(), 16);
@@ -600,20 +589,12 @@ mod tests {
     fn metered_totals_are_exact_at_any_thread_count() {
         let queries = PointSet::uniform(70, 12, 137);
         let refs = PointSet::uniform(400, 12, 138);
-        let cfg = SelectConfig::plain(QueueKind::Merge, 16);
-        let one = knn_search_streamed_parallel(&queries, &refs, &cfg, 100, 1);
+        let euclid = |threads| plan(16, Metric::SquaredEuclidean, 100, threads);
+        let one = plain(&queries, &refs, euclid(1));
         let pushes: u64 = buffered_pushes(&queries, &refs, 16, 100).iter().sum();
         for threads in [1usize, 2, 8] {
             let reg = MetricsRegistry::new();
-            let out = knn_search_streamed_instrumented(
-                &queries,
-                &refs,
-                &cfg,
-                Metric::SquaredEuclidean,
-                100,
-                threads,
-                &metered(&reg),
-            );
+            let out = instrumented(&queries, &refs, euclid(threads), &metered(&reg));
             assert_eq!(out, one, "threads {threads}");
             let snap = reg.snapshot();
             let hist = |name: &str| {
@@ -643,8 +624,8 @@ mod tests {
     fn journaled_records_match_at_any_thread_count() {
         let queries = PointSet::uniform(40, 10, 139);
         let refs = PointSet::uniform(300, 10, 140);
-        let cfg = SelectConfig::plain(QueueKind::Merge, 8);
-        let one = knn_search_streamed_parallel(&queries, &refs, &cfg, 100, 1);
+        let euclid = |threads| plan(8, Metric::SquaredEuclidean, 100, threads);
+        let one = plain(&queries, &refs, euclid(1));
         let pushes = buffered_pushes(&queries, &refs, 8, 100);
         for threads in [1usize, 2, 8] {
             let journal = EventJournal::new(JournalConfig::default());
@@ -653,9 +634,7 @@ mod tests {
                 tag: "par-run",
                 ..Instruments::default()
             };
-            let euclid = Metric::SquaredEuclidean;
-            let out =
-                knn_search_streamed_instrumented(&queries, &refs, &cfg, euclid, 100, threads, &ins);
+            let out = instrumented(&queries, &refs, euclid(threads), &ins);
             assert_eq!(out, one, "threads {threads}");
             let snap = journal.snapshot();
             assert_eq!(snap.len(), 40, "one record per query");
@@ -684,7 +663,6 @@ mod tests {
         // 33 queries: one full block of 8 quads and a one-query block.
         let queries = PointSet::uniform(33, 10, 149);
         let refs = PointSet::uniform(300, 10, 150);
-        let cfg = SelectConfig::plain(QueueKind::Merge, 8);
         for threads in [1usize, 2] {
             let journal = EventJournal::new(JournalConfig::default());
             let reg = MetricsRegistry::new();
@@ -694,8 +672,12 @@ mod tests {
                 tag: "split-run",
                 ..Instruments::default()
             };
-            let euclid = Metric::SquaredEuclidean;
-            knn_search_streamed_instrumented(&queries, &refs, &cfg, euclid, 100, threads, &ins);
+            instrumented(
+                &queries,
+                &refs,
+                plan(8, Metric::SquaredEuclidean, 100, threads),
+                &ins,
+            );
             let fill = |r: &QueryRecord| {
                 r.phase_ns
                     .iter()
@@ -729,8 +711,8 @@ mod tests {
     /// exactly one lane, and busy + idle == wall on every lane.
     fn timeline_run(queries: &PointSet, threads: usize) -> TimelineReport {
         let refs = PointSet::uniform(400, 12, 142);
-        let cfg = SelectConfig::plain(QueueKind::Merge, 16);
-        let plain = knn_search_streamed_parallel(queries, &refs, &cfg, 100, threads);
+        let euclid = plan(16, Metric::SquaredEuclidean, 100, threads);
+        let plain = plain(queries, &refs, euclid);
 
         let rec = TimelineRecorder::new(threads);
         let tl = TimelineObserver::new(&rec);
@@ -738,9 +720,7 @@ mod tests {
             timeline: Some(&tl),
             ..Instruments::default()
         };
-        let euclid = Metric::SquaredEuclidean;
-        let out =
-            knn_search_streamed_instrumented(queries, &refs, &cfg, euclid, 100, threads, &ins);
+        let out = instrumented(queries, &refs, euclid, &ins);
         assert_eq!(out, plain, "timeline recording must not change results");
 
         let report = tl.report();
@@ -793,7 +773,6 @@ mod tests {
     fn journal_records_carry_the_owning_worker() {
         let queries = PointSet::uniform(130, 10, 145);
         let refs = PointSet::uniform(300, 10, 146);
-        let cfg = SelectConfig::plain(QueueKind::Merge, 8);
         let journal = EventJournal::new(JournalConfig::default());
         let rec = TimelineRecorder::new(4);
         let tl = TimelineObserver::new(&rec);
@@ -803,13 +782,10 @@ mod tests {
             tag: "tl-run",
             ..Instruments::default()
         };
-        knn_search_streamed_instrumented(
+        instrumented(
             &queries,
             &refs,
-            &cfg,
-            Metric::SquaredEuclidean,
-            100,
-            4,
+            plan(8, Metric::SquaredEuclidean, 100, 4),
             &ins,
         );
         let snap = journal.snapshot();

@@ -8,10 +8,9 @@
 //!    kernel changes the iteration order over pairs, never the
 //!    accumulation order within a pair. Dimensions and sizes straddle
 //!    the LANES / QUERY_BLOCK / REF_TILE edges on purpose.
-//! 2. The streamed loop (`knn_search_streamed_parallel`) must return
+//! 2. The streamed loop (`Index::search`) must return
 //!    exactly the `(dist, id)` sort of each full distance row, cut at
-//!    k, for every queue kind at 1, 2 and 4 threads and arbitrary
-//!    Q/N/k/tile, including tiles smaller than k, tiles larger than N
+//!    k, at 1, 2 and 4 threads and arbitrary Q/N/k/tile, including tiles smaller than k, tiles larger than N
 //!    and duplicated distances (tie-breaking), also under non-finite
 //!    coordinates (overflow to +inf).
 //! 3. The runtime-dispatched SIMD row kernel (`simd::fill_rows`) must
@@ -21,7 +20,7 @@
 //!    register block and the scalar tail all change shape — for row
 //!    ranges straddling the REF_TILE edge, and under the non-finite
 //!    clamp policy.
-//! 4. `knn_search_streamed_parallel` must return exactly the same
+//! 4. `Index::search` must return exactly the same
 //!    neighbors at 2 and 8 threads as on one — the work-stealing
 //!    schedule moves blocks between workers, never the per-query merge
 //!    order.
@@ -30,10 +29,10 @@
 //!    `eval::ground_truth`'s neighbors byte for byte.
 
 use knn::{
-    block, clamp_non_finite, ground_truth, knn_search_streamed_parallel, simd, squared_distance,
-    squared_norm, Metric, PointSet,
+    block, clamp_non_finite, ground_truth, simd, squared_distance, squared_norm, Hooks, Index,
+    Metric, PointSet, SearchPlan,
 };
-use kselect::{QueueKind, SelectConfig};
+use kselect::Neighbor;
 use proptest::prelude::*;
 
 /// The dimensions the SIMD contract is pinned at: 1 and 7 exercise the
@@ -47,6 +46,22 @@ fn points(count: usize, dim: usize) -> impl Strategy<Value = PointSet> {
         let flat: Vec<f32> = raw.iter().map(|&x| x as f32 / 512.0 - 4.0).collect();
         PointSet::from_flat(flat, dim)
     })
+}
+
+/// The `k` nearest references of each query by squared Euclidean
+/// distance, streamed at `tile` on `threads` workers.
+fn search(
+    queries: &PointSet,
+    refs: &PointSet,
+    k: usize,
+    tile: usize,
+    threads: usize,
+) -> Vec<Vec<Neighbor>> {
+    let plan = SearchPlan::new(k).with_tile(tile).with_threads(threads);
+    let index = Index::new(refs).expect("non-empty references");
+    index
+        .search(queries, &plan, Hooks::NONE)
+        .expect("a valid plan")
 }
 
 /// Neighbors as `(dist bits, id)` pairs, so `-0.0` and `0.0` differ.
@@ -108,10 +123,8 @@ proptest! {
     /// Tile-streamed search == the `(dist, id)` sort of each query's
     /// full distance row, cut at k, exactly (distances AND ids), for
     /// arbitrary tile sizes including tile < k and tile > N, with
-    /// heavily duplicated coordinates to force ties. The streamed
-    /// top-k reads only `k` from the config, so every queue kind, plain
-    /// and optimized, keeps the lowest ids among equal distances, at
-    /// every thread count.
+    /// heavily duplicated coordinates to force ties. The lowest ids are
+    /// kept among equal distances, at every thread count.
     #[test]
     fn streamed_matches_materialized(
         qs in points(7, 5),
@@ -133,16 +146,9 @@ proptest! {
         };
         let k = k_raw.min(n);
         let want = sort_oracle(&qs, &refs, k);
-        for kind in [QueueKind::Insertion, QueueKind::Heap, QueueKind::Merge] {
-            for cfg in [SelectConfig::plain(kind, k), SelectConfig::optimized(kind, k)] {
-                for threads in [1usize, 2, 4] {
-                    let streamed = knn_search_streamed_parallel(&qs, &refs, &cfg, tile, threads);
-                    prop_assert_eq!(
-                        &bits(&streamed), &want,
-                        "{} tile {} threads {}", cfg.label(), tile, threads
-                    );
-                }
-            }
+        for threads in [1usize, 2, 4] {
+            let streamed = search(&qs, &refs, k, tile, threads);
+            prop_assert_eq!(&bits(&streamed), &want, "tile {} threads {}", tile, threads);
         }
     }
 
@@ -161,8 +167,7 @@ proptest! {
             flat[p * 4] = f32::MAX; // squared -> +inf -> clamped policy
         }
         let refs = PointSet::from_flat(flat, 4);
-        let cfg = SelectConfig::optimized(QueueKind::Merge, 8);
-        let streamed = knn_search_streamed_parallel(&qs, &refs, &cfg, tile, 1);
+        let streamed = search(&qs, &refs, 8, tile, 1);
         prop_assert_eq!(bits(&streamed), sort_oracle(&qs, &refs, 8));
     }
 
@@ -240,8 +245,8 @@ proptest! {
 
     /// The streamed pipeline returns *identical* neighbors — distances
     /// and ids — at 2 and 8 threads as on one, for query
-    /// counts straddling the QUERY_BLOCK = 32 scheduling unit, tiles
-    /// straddling REF_TILE, and every queue kind. Heavily quantized
+    /// counts straddling the QUERY_BLOCK = 32 scheduling unit and tiles
+    /// straddling REF_TILE. Heavily quantized
     /// coordinates force distance ties, so this also proves the merge
     /// order (not just the value set) is thread-count-invariant.
     #[test]
@@ -263,33 +268,19 @@ proptest! {
                 .collect();
             PointSet::from_flat(flat, 6)
         };
-        for kind in [QueueKind::Insertion, QueueKind::Heap, QueueKind::Merge] {
-            let k = if kind == QueueKind::Merge {
-                k_raw.min(n).next_power_of_two().max(8)
-            } else {
-                k_raw.min(n)
-            };
-            if k > n {
-                continue;
-            }
-            let cfg = SelectConfig::plain(kind, k);
-            let one = knn_search_streamed_parallel(&queries, &refs, &cfg, tile, 1);
-            for threads in [2usize, 8] {
-                let parallel =
-                    knn_search_streamed_parallel(&queries, &refs, &cfg, tile, threads);
-                prop_assert_eq!(
-                    &parallel, &one,
-                    "kind {:?} tile {} threads {}", kind, tile, threads
-                );
-            }
+        let k = k_raw.min(n);
+        let one = search(&queries, &refs, k, tile, 1);
+        for threads in [2usize, 8] {
+            let parallel = search(&queries, &refs, k, tile, threads);
+            prop_assert_eq!(&parallel, &one, "tile {} threads {}", tile, threads);
         }
     }
 
-    /// With the timeline disabled ([`NullTimeline`]), the timelined
-    /// entry point is byte-identical to the plain parallel pipeline —
-    /// same neighbors, same distances, same order — at every thread
-    /// count. This is the zero-cost-observer contract for the timeline
-    /// layer: hooks that monomorphize to no-ops cannot perturb results.
+    /// With the timeline disabled ([`NullTimeline`]) and a cancel token
+    /// that never trips, the search is byte-identical to the one with
+    /// [`Hooks::NONE`] — same neighbors, same distances, same order —
+    /// at every thread count. This is the zero-cost-observer contract
+    /// for the hook layer: hooks that do nothing cannot perturb results.
     #[test]
     fn timeline_disabled_is_byte_identical_to_plain_parallel(
         q in 1usize..70,
@@ -299,18 +290,15 @@ proptest! {
         threads in 1usize..9,
         seed in 0u64..1000,
     ) {
-        use knn::{knn_search_streamed_parallel_timelined, NeverCancel, NullObserver};
+        use knn::TileBudget;
         use trace::NullTimeline;
-        let k = k_raw.min(n);
         let queries = PointSet::uniform(q, 6, seed);
-        let refs = PointSet::uniform(n, 6, seed ^ 0x51D);
-        let cfg = SelectConfig::plain(QueueKind::Heap, k);
-        let plain = knn_search_streamed_parallel(&queries, &refs, &cfg, tile, threads);
-        let timelined = knn_search_streamed_parallel_timelined(
-            &queries, &refs, &cfg, tile, threads,
-            &NullObserver, &NeverCancel, &NullTimeline,
-        ).expect("NeverCancel cannot trip");
-        prop_assert_eq!(timelined, plain);
+        let index = Index::new(PointSet::uniform(n, 6, seed ^ 0x51D)).unwrap();
+        let plan = SearchPlan::new(k_raw.min(n)).with_tile(tile).with_threads(threads);
+        let plain = index.search(&queries, &plan, Hooks::NONE);
+        let hooks = Hooks::NONE.with_timeline(&NullTimeline).with_cancel(&TileBudget(usize::MAX));
+        let timelined = index.search(&queries, &plan, hooks).expect("the budget never trips");
+        prop_assert_eq!(Ok(timelined), plain);
     }
 
     /// Non-finite inputs flow through the streamed pipeline identically
@@ -327,10 +315,9 @@ proptest! {
             flat[p * 4] = f32::MAX;
         }
         let refs = PointSet::from_flat(flat, 4);
-        let cfg = SelectConfig::optimized(QueueKind::Merge, 8);
-        let one = knn_search_streamed_parallel(&qs, &refs, &cfg, tile, 1);
+        let one = search(&qs, &refs, 8, tile, 1);
         for threads in [2usize, 8] {
-            let parallel = knn_search_streamed_parallel(&qs, &refs, &cfg, tile, threads);
+            let parallel = search(&qs, &refs, 8, tile, threads);
             prop_assert_eq!(&parallel, &one, "threads {}", threads);
         }
     }
@@ -346,20 +333,15 @@ fn quad_streamed_fill_is_byte_identical_to_the_sort_oracle() {
     let refs = PointSet::uniform(150, 13, 41);
     for q in [1usize, 31, 33, 65] {
         let queries = PointSet::uniform(q, 13, 40 + q as u64);
-        for cfg in [
-            SelectConfig::plain(QueueKind::Insertion, 5),
-            SelectConfig::optimized(QueueKind::Merge, 8),
-        ] {
-            let full = sort_oracle(&queries, &refs, cfg.k);
+        for k in [5usize, 8] {
+            let full = sort_oracle(&queries, &refs, k);
             for tile in [1usize, 3, 7, 100] {
                 for threads in [1usize, 2] {
-                    let streamed =
-                        knn_search_streamed_parallel(&queries, &refs, &cfg, tile, threads);
+                    let streamed = search(&queries, &refs, k, tile, threads);
                     assert_eq!(
                         bits(&streamed),
                         full,
-                        "q {q} k {} tile {tile} threads {threads}",
-                        cfg.k
+                        "q {q} k {k} tile {tile} threads {threads}"
                     );
                 }
             }
@@ -382,11 +364,10 @@ fn streamed_short_quads_equal_ground_truth_at_any_thread_count() {
         let refs = PointSet::from_flat(tripled, dim);
         for q in (1usize..=9).chain(33..=37) {
             let queries = PointSet::uniform(q, dim, 70 + q as u64);
-            let cfg = SelectConfig::optimized(QueueKind::Merge, 8);
-            let want = ground_truth(&queries, &refs, cfg.k, Metric::SquaredEuclidean);
+            let want = ground_truth(&queries, &refs, 8, Metric::SquaredEuclidean);
             for tile in [7usize, 64, 4096] {
                 for threads in [1usize, 2, 4] {
-                    let got = knn_search_streamed_parallel(&queries, &refs, &cfg, tile, threads);
+                    let got = search(&queries, &refs, 8, tile, threads);
                     assert_eq!(
                         bits(&got),
                         bits(&want),
@@ -411,11 +392,12 @@ mod journaled {
     use knn::metered::{knn_search_streamed_instrumented, Instruments};
     use trace::{EventJournal, JournalConfig, QueryRecord};
 
-    /// Journal one streamed search into a fresh journal.
+    /// Journal one streamed search for `k` neighbors into a fresh
+    /// journal.
     fn journaled(
         queries: &PointSet,
         refs: &PointSet,
-        cfg: &SelectConfig,
+        k: usize,
         tile: usize,
         threads: usize,
     ) -> Vec<QueryRecord> {
@@ -425,8 +407,9 @@ mod journaled {
             tag: "prop",
             ..Instruments::default()
         };
-        let euclid = knn::Metric::SquaredEuclidean;
-        knn_search_streamed_instrumented(queries, refs, cfg, euclid, tile, threads, &ins);
+        let plan = SearchPlan::new(k).with_tile(tile).with_threads(threads);
+        let index = Index::new(refs).expect("non-empty references");
+        knn_search_streamed_instrumented(&index, queries, &plan, &ins).expect("a valid plan");
         journal.snapshot()
     }
 
@@ -461,18 +444,12 @@ mod journaled {
         ) {
             let queries = PointSet::uniform(q, 6, seed);
             let refs = PointSet::uniform(n, 6, seed ^ 0x10E);
-            let k = 8usize;
-            if k > n {
-                // Merge queue needs k <= n; shrink the workload instead
-                // of skipping so tiny n still exercises the journal.
-                let cfg = SelectConfig::plain(QueueKind::Insertion, n);
-                prop_assert_eq!(journaled(&queries, &refs, &cfg, tile, 2).len(), q);
-                return Ok(());
-            }
-            let cfg = SelectConfig::plain(QueueKind::Merge, k);
+            // k <= n: tiny n shrinks k instead of skipping, so it still
+            // exercises the journal.
+            let k = n.min(8);
             let mut baseline: Option<Vec<_>> = None;
             for threads in [1usize, 2, 8] {
-                let snap = journaled(&queries, &refs, &cfg, tile, threads);
+                let snap = journaled(&queries, &refs, k, tile, threads);
                 prop_assert_eq!(snap.len(), q, "one record per query at {} threads", threads);
                 for r in &snap {
                     let phase_sum: u64 = r.phase_ns.iter().map(|(_, ns)| ns).sum();

@@ -1,8 +1,8 @@
 //! Every native entry returns the exact ground truth under every metric.
 //!
-//! `knn_search_with` and the instrumented streamed entry run one loop.
-//! Whatever the metric, queue kind or plain/optimized config, and at
-//! any tile and thread count, their neighbors must equal
+//! `Index::search` and the instrumented streamed entry run one loop.
+//! Whatever the metric, and at any tile and thread count, their
+//! neighbors must equal
 //! `eval::ground_truth` — the full `(dist, id)` sort of each query's
 //! materialized distance row, cut at k — ids included. The data is
 //! built for ties: every reference appears three times, coordinates are
@@ -10,8 +10,8 @@
 //! rounds those distances a little below zero) and some are the zero
 //! vector (a negated dot product of `−0.0`, a cosine of exactly 2).
 
-use knn::{ground_truth, knn_search_with, Metric, PointSet};
-use kselect::{Neighbor, QueueKind, SelectConfig};
+use knn::{ground_truth, Hooks, Index, Metric, PointSet, SearchPlan};
+use kselect::Neighbor;
 use proptest::prelude::*;
 
 const METRICS: [Metric; 4] = [
@@ -48,18 +48,6 @@ fn queries(raw: &[u32], refs: &PointSet) -> PointSet {
         }
     }
     PointSet::from_flat(flat, dim)
-}
-
-fn configs(k: usize) -> Vec<SelectConfig> {
-    [QueueKind::Insertion, QueueKind::Heap, QueueKind::Merge]
-        .into_iter()
-        .flat_map(|kind| {
-            [
-                SelectConfig::plain(kind, k),
-                SelectConfig::optimized(kind, k),
-            ]
-        })
-        .collect()
 }
 
 /// Ground truth as the search returns it: `−0.0` ranks as `+0.0`, and
@@ -100,15 +88,15 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn knn_search_with_equals_ground_truth_for_every_metric_and_config(
+    fn search_equals_ground_truth_for_every_metric(
         (qs, refs, k, _tile) in workload(),
     ) {
+        let index = Index::new(&refs).unwrap();
         for metric in METRICS {
             let want = bits(&truth(&qs, &refs, k, metric));
-            for cfg in configs(k) {
-                let got = knn_search_with(&qs, &refs, &cfg, metric);
-                prop_assert_eq!(&bits(&got), &want, "{:?} {}", metric, cfg.label());
-            }
+            let plan = SearchPlan::new(k).with_metric(metric);
+            let got = index.search(&qs, &plan, Hooks::NONE).unwrap();
+            prop_assert_eq!(&bits(&got), &want, "{:?}", metric);
         }
     }
 }
@@ -129,16 +117,16 @@ proptest! {
             registry: Some(&reg),
             ..Instruments::default()
         };
+        let index = Index::new(&refs).unwrap();
         for metric in METRICS {
             let want = bits(&truth(&qs, &refs, k, metric));
-            for cfg in [SelectConfig::plain(QueueKind::Heap, k), SelectConfig::optimized(QueueKind::Merge, k)] {
-                for threads in [1usize, 2, 4] {
-                    let got = knn_search_streamed_instrumented(&qs, &refs, &cfg, metric, tile, threads, &ins);
-                    prop_assert_eq!(
-                        &bits(&got), &want,
-                        "{:?} {} tile {} threads {}", metric, cfg.label(), tile, threads
-                    );
-                }
+            for threads in [1usize, 2, 4] {
+                let plan = SearchPlan { k, metric, tile, threads };
+                let got = knn_search_streamed_instrumented(&index, &qs, &plan, &ins).unwrap();
+                prop_assert_eq!(
+                    &bits(&got), &want,
+                    "{:?} tile {} threads {}", metric, tile, threads
+                );
             }
         }
     }

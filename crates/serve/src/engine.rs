@@ -15,7 +15,9 @@
 //! cancellation: warp-launch gating for `full-exact`
 //! ([`knn::gpu_knn_resilient_deadline`]) and tile-boundary budgets for
 //! the streamed steps ([`knn::TileBudget`]), so a request past its
-//! deadline stops consuming work instead of finishing late.
+//! deadline stops consuming work instead of finishing late. The streamed
+//! steps search a [`knn::Index`] of each reference set, built once per
+//! campaign.
 //!
 //! Every offered request terminates in exactly one named [`Outcome`];
 //! the engine asserts the accounting (offered = Σ outcomes, queue
@@ -23,15 +25,15 @@
 
 use knn::pipeline::queue_tag;
 use knn::{
-    block, gpu_distance_metrics, gpu_knn_resilient, gpu_knn_resilient_deadline,
-    knn_search_streamed_parallel_timelined, pcie, NullObserver, PointSet, TileBudget,
+    block, gpu_distance_metrics, gpu_knn_resilient, gpu_knn_resilient_deadline, pcie, Hooks, Index,
+    PointSet, SearchPlan, TileBudget,
 };
 use kselect::gpu::{gpu_select_k, DistanceMatrix, GpuResilience};
 use kselect::queues::merge::padded_capacity;
 use kselect::{KnnError, Neighbor, QueueKind, SelectConfig};
 use simt::{FaultPlan, TimingModel};
 use trace::journal::phases;
-use trace::{Journal, MetricsRegistry, NullTimeline, QueryRecord};
+use trace::{Journal, MetricsRegistry, QueryRecord};
 
 use crate::arrivals::{arrival_times, ArrivalProcess};
 use crate::breaker::{Breaker, BreakerConfig, DegradeStep};
@@ -441,15 +443,16 @@ struct Served {
 /// Most arrivals one run may schedule (8 MiB of arrival instants).
 const MAX_ARRIVALS: usize = 1 << 20;
 
-/// Everything immutable a run needs: data sets, calibrated models,
-/// derived rates.
+/// Everything immutable a run needs: indexed data sets, calibrated
+/// models, derived rates.
 struct Engine {
     cfg: ServeConfig,
     tm: TimingModel,
-    refs: PointSet,
-    sampled_refs: PointSet,
+    index: Index<'static>,
+    sampled_index: Index<'static>,
     select_full: SelectConfig,
-    select_native: SelectConfig,
+    /// The streamed steps' search; each step sets its model's tile.
+    select_native: SearchPlan,
     res: GpuResilience,
     large_model: StreamedModel,
     sampled_model: StreamedModel,
@@ -485,7 +488,7 @@ impl Engine {
         }
         let select_full = SelectConfig::optimized(QueueKind::Merge, k);
         let select_plain = SelectConfig::plain(QueueKind::Merge, k);
-        let select_native = SelectConfig::plain(QueueKind::Merge, cfg.k);
+        let select_native = SearchPlan::new(cfg.k).with_threads(cfg.threads);
         let res = GpuResilience::default();
 
         // Calibrate the full-exact service time on a representative
@@ -538,8 +541,8 @@ impl Engine {
         Ok(Engine {
             cfg,
             tm,
-            refs,
-            sampled_refs,
+            index: Index::new(refs)?,
+            sampled_index: Index::new(sampled_refs)?,
             select_full,
             select_native,
             res,
@@ -586,7 +589,7 @@ impl Engine {
         match gpu_knn_resilient_deadline(
             &self.tm,
             &queries,
-            &self.refs,
+            self.index.refs(),
             &self.select_full,
             &res,
             budget_s,
@@ -630,11 +633,12 @@ impl Engine {
     }
 
     fn serve_streamed(&self, req: &Request, budget_s: f64, step: DegradeStep) -> Served {
-        let (model, refs) = if step == DegradeStep::Sampled {
-            (&self.sampled_model, &self.sampled_refs)
+        let (model, index) = if step == DegradeStep::Sampled {
+            (&self.sampled_model, &self.sampled_index)
         } else {
-            (&self.large_model, &self.refs)
+            (&self.large_model, &self.index)
         };
+        let n = index.refs().len();
         let queries = request_queries(&self.cfg, req.id);
         let res = self.request_res(req.id);
         let upload = match &res.faults {
@@ -657,19 +661,13 @@ impl Engine {
             },
         };
         let (budget_tiles, spent_s) = model.afford(upload.seconds, budget_s);
-        let result = knn_search_streamed_parallel_timelined(
-            &queries,
-            refs,
-            &self.select_native,
-            model.tile,
-            self.cfg.threads,
-            &NullObserver,
-            &TileBudget(budget_tiles),
-            &NullTimeline,
-        );
-        let tiles_run = match &result {
+        let plan = self.select_native.with_tile(model.tile);
+        let budget = TileBudget(budget_tiles);
+        let result = index.search(&queries, &plan, Hooks::NONE.with_cancel(&budget));
+        let tiles_run = match result {
             Ok(_) => model.tiles_total,
-            Err(c) => c.tiles_done,
+            Err(KnnError::Cancelled { tiles_done, .. }) => tiles_done,
+            Err(e) => return self.failed(req, e),
         };
         let stream_s: f64 = (0..tiles_run).map(|i| model.tile_s(i)).sum();
         // The calibrated per-tile cost bundles distance + selection;
@@ -678,8 +676,8 @@ impl Engine {
         // and the analytic distance share to `distance`.
         let dist_s: f64 = (0..tiles_run)
             .map(|i| {
-                let t_len = if i + 1 == model.tiles_total && refs.len() % model.tile != 0 {
-                    refs.len() % model.tile
+                let t_len = if i + 1 == model.tiles_total && n % model.tile != 0 {
+                    n % model.tile
                 } else {
                     model.tile
                 };
@@ -713,7 +711,8 @@ impl Engine {
 
     /// A request-level error: the server was still occupied for the
     /// attempts it made. The only error reachable under a well-formed
-    /// config is retry-exhausted PCIe corruption, whose time we
+    /// config is retry-exhausted PCIe corruption (the engine checks k
+    /// against both reference sets before the campaign), whose time we
     /// approximate as `max_attempts` clean transfers (the faulted
     /// per-attempt times are not observable once the transfer errors).
     fn failed(&self, _req: &Request, e: KnnError) -> Served {
@@ -757,23 +756,16 @@ struct InFlight {
 /// request into `journal` (status = outcome name) and the outcome /
 /// latency counters into `reg`, then returns the aggregate summary.
 /// The caller should gate on [`ServeSummary::verify`].
+///
+/// With a [`TimelineRecorder`](trace::TimelineRecorder), service
+/// intervals land as `Service` spans on track 0 ("server"), time spent
+/// queued as `QueueWait` spans on track 1 ("queue"), and every brownout
+/// ladder transition as a `step:<name>` mark on the server track — all
+/// in the campaign's **simulated** nanoseconds (the engine reads no
+/// host clock). Recording changes nothing else: the summary, journal
+/// and registry are the same with `None`, and the simulation is
+/// deterministic, so recording cannot perturb outcomes either way.
 pub fn run<J: Journal>(
-    cfg: &ServeConfig,
-    reg: &MetricsRegistry,
-    journal: &J,
-) -> Result<ServeSummary, KnnError> {
-    run_timelined(cfg, reg, journal, None)
-}
-
-/// [`run`] with an optional [`TimelineRecorder`]: service intervals
-/// land as `Service` spans on track 0 ("server"), time spent queued as
-/// `QueueWait` spans on track 1 ("queue"), and every brownout ladder
-/// transition as a `step:<name>` mark on the server track — all in the
-/// campaign's **simulated** nanoseconds (the engine reads no host
-/// clock). `None` is byte-identical to [`run`]: same summary, same
-/// journal, same registry, and the simulation is deterministic, so
-/// recording cannot perturb outcomes either way.
-pub fn run_timelined<J: Journal>(
     cfg: &ServeConfig,
     reg: &MetricsRegistry,
     journal: &J,
@@ -788,7 +780,7 @@ pub fn run_timelined<J: Journal>(
     let mut breaker = Breaker::new(cfg.breaker);
     let mut summary = ServeSummary {
         offered: arrivals.len() as u64,
-        sampled_recall_bound: eng.sampled_refs.len() as f64 / eng.refs.len().max(1) as f64,
+        sampled_recall_bound: eng.sampled_index.refs().len() as f64 / eng.index.refs().len() as f64,
         exact_service_s: eng.exact_service_s,
         rate_hz: eng.rate_hz,
         deadline_s: eng.deadline_s,
@@ -1029,7 +1021,7 @@ mod tests {
             sample_stride: 16,
             ..small()
         };
-        let err = run(&cfg, &MetricsRegistry::new(), &NullJournal).unwrap_err();
+        let err = run(&cfg, &MetricsRegistry::new(), &NullJournal, None).unwrap_err();
         assert_eq!(err, KnnError::InvalidK { k: 8, n: 4 });
     }
 
@@ -1041,7 +1033,7 @@ mod tests {
                 large_tile,
                 ..small()
             };
-            let sum = run(&cfg, &MetricsRegistry::new(), &NullJournal).expect("run");
+            let sum = run(&cfg, &MetricsRegistry::new(), &NullJournal, None).expect("run");
             sum.verify().expect("accounting");
         }
     }
@@ -1054,7 +1046,7 @@ mod tests {
                 duration_s,
                 ..small()
             };
-            let err = run(&cfg, &MetricsRegistry::new(), &NullJournal).unwrap_err();
+            let err = run(&cfg, &MetricsRegistry::new(), &NullJournal, None).unwrap_err();
             assert_eq!(
                 err.name(),
                 "limit-exceeded",
@@ -1066,7 +1058,7 @@ mod tests {
     #[test]
     fn every_request_reaches_exactly_one_outcome() {
         let reg = MetricsRegistry::new();
-        let sum = run(&small(), &reg, &NullJournal).expect("run");
+        let sum = run(&small(), &reg, &NullJournal, None).expect("run");
         assert!(sum.offered > 0);
         sum.verify().expect("accounting");
         assert_eq!(reg.counter(metrics::OFFERED), sum.offered);
@@ -1078,7 +1070,7 @@ mod tests {
         let run_once = || {
             let reg = MetricsRegistry::new();
             let j = EventJournal::new(JournalConfig::default());
-            let sum = run(&cfg, &reg, &j).expect("run");
+            let sum = run(&cfg, &reg, &j, None).expect("run");
             (sum, j.to_jsonl())
         };
         let (a_sum, a) = run_once();
@@ -1093,9 +1085,9 @@ mod tests {
         let reg = MetricsRegistry::new();
         let j1 = EventJournal::new(JournalConfig::default());
         let j2 = EventJournal::new(JournalConfig::default());
-        let a = run(&small(), &reg, &j1).expect("run");
+        let a = run(&small(), &reg, &j1, None).expect("run");
         let cfg2 = ServeConfig { seed: 2, ..small() };
-        let b = run(&cfg2, &reg, &j2).expect("run");
+        let b = run(&cfg2, &reg, &j2, None).expect("run");
         assert!(a.offered > 0 && b.offered > 0);
         assert_ne!(j1.to_jsonl(), j2.to_jsonl());
     }
@@ -1105,7 +1097,7 @@ mod tests {
         let reg = MetricsRegistry::new();
         // 2× overload: something must give (queue overflow, deadline
         // misses, or degradation).
-        let over = run(&small(), &reg, &NullJournal).expect("run");
+        let over = run(&small(), &reg, &NullJournal, None).expect("run");
         over.verify().expect("accounting");
         assert!(
             over.shed
@@ -1120,7 +1112,7 @@ mod tests {
             load: 0.5,
             ..small()
         };
-        let calm = run(&calm_cfg, &reg, &NullJournal).expect("run");
+        let calm = run(&calm_cfg, &reg, &NullJournal, None).expect("run");
         calm.verify().expect("accounting");
         assert_eq!(calm.served_exact, calm.offered, "{calm:?}");
         assert_eq!(calm.shed, 0);
@@ -1136,7 +1128,7 @@ mod tests {
             ..small()
         };
         let reg = MetricsRegistry::new();
-        let sum = run(&cfg, &reg, &NullJournal).expect("run");
+        let sum = run(&cfg, &reg, &NullJournal, None).expect("run");
         sum.verify().expect("accounting");
         assert_eq!(sum.served_exact, 0, "{sum:?}");
         assert!(sum.deadline_exceeded > 0, "{sum:?}");
@@ -1151,7 +1143,7 @@ mod tests {
         let run_once = || {
             let reg = MetricsRegistry::new();
             let j = EventJournal::new(JournalConfig::default());
-            let sum = run(&cfg, &reg, &j).expect("run");
+            let sum = run(&cfg, &reg, &j, None).expect("run");
             (sum, j.to_jsonl())
         };
         let (a_sum, a) = run_once();
@@ -1164,7 +1156,7 @@ mod tests {
     #[test]
     fn sampled_step_reports_its_recall_bound() {
         let reg = MetricsRegistry::new();
-        let sum = run(&small(), &reg, &NullJournal).expect("run");
+        let sum = run(&small(), &reg, &NullJournal, None).expect("run");
         let expect = (256usize.div_ceil(4)) as f64 / 256.0;
         assert!((sum.sampled_recall_bound - expect).abs() < 1e-12);
     }
@@ -1178,17 +1170,10 @@ mod tests {
         let run_with = |tl: Option<&TimelineRecorder>| {
             let reg = MetricsRegistry::new();
             let j = EventJournal::new(JournalConfig::default());
-            let sum = run_timelined(&cfg, &reg, &j, tl).expect("run");
+            let sum = run(&cfg, &reg, &j, tl).expect("run");
             (sum, j.to_jsonl())
         };
-        let (plain_sum, plain_journal) = {
-            let reg = MetricsRegistry::new();
-            let j = EventJournal::new(JournalConfig::default());
-            (run(&cfg, &reg, &j).expect("run"), j.to_jsonl())
-        };
-        let (off_sum, off_journal) = run_with(None);
-        assert_eq!(off_sum, plain_sum, "run_timelined(None) must be run");
-        assert_eq!(off_journal, plain_journal);
+        let (plain_sum, plain_journal) = run_with(None);
 
         let rec = TimelineRecorder::with_names(&["server", "queue"]);
         let (on_sum, on_journal) = run_with(Some(&rec));
@@ -1232,7 +1217,7 @@ mod tests {
     fn journal_statuses_use_the_stable_taxonomy() {
         let j = EventJournal::new(JournalConfig::default());
         let reg = MetricsRegistry::new();
-        let sum = run(&small(), &reg, &j).expect("run");
+        let sum = run(&small(), &reg, &j, None).expect("run");
         let recs = j.snapshot();
         assert_eq!(recs.len() as u64, sum.offered);
         let legal = [

@@ -39,7 +39,5 @@ pub mod queue;
 
 pub use arrivals::{arrival_times, ArrivalProcess};
 pub use breaker::{Breaker, BreakerConfig, DegradeStep};
-pub use engine::{
-    run, run_timelined, DeadlinePhase, Outcome, Request, ServeConfig, ServeSummary, ShedCause,
-};
+pub use engine::{run, DeadlinePhase, Outcome, Request, ServeConfig, ServeSummary, ShedCause};
 pub use queue::{AdmissionQueue, Admit, QueuePolicy};

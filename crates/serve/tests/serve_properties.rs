@@ -71,7 +71,7 @@ fn configs() -> impl Strategy<Value = ServeConfig> {
 fn run_with_journal(cfg: &ServeConfig) -> (ServeSummary, Vec<trace::QueryRecord>, String) {
     let reg = MetricsRegistry::new();
     let journal = EventJournal::new(JournalConfig::default());
-    let summary = serve::run(cfg, &reg, &journal).expect("serve::run");
+    let summary = serve::run(cfg, &reg, &journal, None).expect("serve::run");
     let jsonl = journal.to_jsonl();
     (summary, journal.snapshot(), jsonl)
 }

@@ -5,7 +5,7 @@
 //! [`crate::Tracer`]'s clock only moves when instrumented code advances
 //! it by modelled durations. This module is the complementary face: a
 //! thread-safe [`MetricsRegistry`] that measures the native pipeline
-//! (`knn_search`, `knn_search_streamed_parallel`) with monotonic host
+//! (`knn::Index::search`) with monotonic host
 //! wall clock, usable concurrently from rayon workers.
 //!
 //! Primitives:

@@ -16,7 +16,8 @@
 //! * **Different workloads** (e.g. the committed full-size baseline vs
 //!   a CI `--quick` run): magnitudes are incomparable, so only the
 //!   invariants are checked — currently `pipeline.results_identical`,
-//!   which must be `true` wherever present.
+//!   which must be `true` wherever present. The report names the keys
+//!   that differ.
 //!
 //! Exit codes: 0 clean (improvements are reported, never fatal), 1 on
 //! any regression beyond tolerance or a failed invariant, 2 on unusable
@@ -40,8 +41,9 @@ pub struct MetricDiff {
 /// Outcome of one benchdiff run.
 #[derive(Debug, Default)]
 pub struct DiffReport {
-    /// Workloads matched, so magnitudes were compared.
-    pub comparable: bool,
+    /// Workload keys whose values differ between the reports; empty
+    /// when the workloads match and magnitudes were compared.
+    pub differing: Vec<&'static str>,
     /// Metrics worse than tolerance.
     pub regressions: Vec<MetricDiff>,
     /// Metrics better than tolerance (informational).
@@ -50,6 +52,13 @@ pub struct DiffReport {
     pub unchanged: usize,
     /// Failed invariants (checked in both modes).
     pub broken_invariants: Vec<String>,
+}
+
+impl DiffReport {
+    /// Workloads matched, so magnitudes were compared.
+    pub fn comparable(&self) -> bool {
+        self.differing.is_empty()
+    }
 }
 
 /// Direction a numeric key is compared in.
@@ -106,25 +115,27 @@ fn workload_value_eq(a: &Value, b: &Value) -> bool {
     }
 }
 
-fn same_workload(old: &Value, new: &Value) -> bool {
-    let required = WORKLOAD_KEYS.iter().all(|k| {
+/// The workload keys on which `old` and `new` differ: a required key
+/// missing from either side differs too.
+fn workload_diff(old: &Value, new: &Value) -> Vec<&'static str> {
+    let required = WORKLOAD_KEYS.into_iter().filter(|k| {
         match (
             old.get(k).and_then(Value::as_f64),
             new.get(k).and_then(Value::as_f64),
         ) {
-            (Some(a), Some(b)) => a == b,
-            _ => false,
-        }
-    });
-    let optional = OPTIONAL_WORKLOAD_KEYS.iter().all(|k| {
-        match (old.get(k), new.get(k)) {
-            (Some(a), Some(b)) => workload_value_eq(a, b),
-            // Absent on either side: the field did not exist when that
-            // report was generated — a compatible addition.
+            (Some(a), Some(b)) => a != b,
             _ => true,
         }
     });
-    required && optional
+    let optional = OPTIONAL_WORKLOAD_KEYS.into_iter().filter(|k| {
+        match (old.get(k), new.get(k)) {
+            (Some(a), Some(b)) => !workload_value_eq(a, b),
+            // Absent on either side: the field did not exist when that
+            // report was generated — a compatible addition.
+            _ => false,
+        }
+    });
+    required.chain(optional).collect()
 }
 
 /// Walk `old`/`new` in parallel, comparing directional numeric leaves.
@@ -210,10 +221,10 @@ fn check_invariants(path: &str, new: &Value, out: &mut DiffReport) {
 /// Compare two parsed bench reports under a tolerance (percent).
 pub fn diff_reports(old: &Value, new: &Value, tol_pct: f64) -> DiffReport {
     let mut report = DiffReport {
-        comparable: same_workload(old, new),
+        differing: workload_diff(old, new),
         ..DiffReport::default()
     };
-    if report.comparable {
+    if report.comparable() {
         diff_value("", old, new, tol_pct, &mut report);
     }
     check_invariants("", new, &mut report);
@@ -223,11 +234,12 @@ pub fn diff_reports(old: &Value, new: &Value, tol_pct: f64) -> DiffReport {
 /// Render the outcome as the table CI logs show.
 pub fn render_report(report: &DiffReport, tol_pct: f64) -> String {
     let mut s = String::new();
-    if !report.comparable {
-        s.push_str(
-            "workloads differ (queries/refs/dim/k); skipping magnitude \
-             comparison, checking invariants only\n",
-        );
+    if !report.comparable() {
+        s.push_str(&format!(
+            "workloads differ ({}); skipping magnitude comparison, \
+             checking invariants only\n",
+            report.differing.join("/")
+        ));
     } else {
         s.push_str(&format!(
             "compared at ±{tol_pct}% tolerance: {} regressed, {} improved, {} within\n",
@@ -267,8 +279,11 @@ pub fn render_markdown(report: &DiffReport, tol_pct: f64) -> String {
         "### benchdiff: {} (±{tol_pct}% tolerance)\n\n",
         if ok { "OK" } else { "FAILED" }
     );
-    if !report.comparable {
-        s.push_str("Workloads differ; magnitudes skipped, invariants only.\n");
+    if !report.comparable() {
+        s.push_str(&format!(
+            "Workloads differ ({}); magnitudes skipped, invariants only.\n",
+            report.differing.join("/")
+        ));
     } else {
         s.push_str("| metric | old | new | change |\n|---|---|---|---|\n");
         for d in &report.regressions {
@@ -405,7 +420,7 @@ mod tests {
         let old = report(1000.0, 1.0, true, 1 << 14);
         let new = report(800.0, 1.28, true, 1 << 14);
         let d = diff_reports(&old, &new, 10.0);
-        assert!(d.comparable);
+        assert!(d.comparable());
         let paths: Vec<&str> = d.regressions.iter().map(|m| m.path.as_str()).collect();
         assert_eq!(
             paths,
@@ -440,7 +455,7 @@ mod tests {
         let old = report(1000.0, 1.0, true, 1 << 14);
         let quick_ok = report(50.0, 20.0, true, 2048);
         let d = diff_reports(&old, &quick_ok, 10.0);
-        assert!(!d.comparable);
+        assert!(!d.comparable());
         assert!(d.regressions.is_empty(), "magnitudes must not be compared");
         assert!(d.broken_invariants.is_empty());
 
@@ -490,20 +505,45 @@ mod tests {
         let old = report(1000.0, 1.0, true, 1 << 14);
         let new = with_env(report(1000.0, 1.0, true, 1 << 14), 1, "avx2+fma");
         let d = diff_reports(&old, &new, 10.0);
-        assert!(d.comparable, "schema additions are not workload mismatches");
+        assert!(
+            d.comparable(),
+            "schema additions are not workload mismatches"
+        );
 
         // When both reports carry the fields they become part of the
         // workload identity: a 4-thread run against a 1-thread baseline
         // is not magnitude-comparable…
         let base1 = with_env(report(1000.0, 1.0, true, 1 << 14), 1, "avx2+fma");
         let par4 = with_env(report(4000.0, 0.25, true, 1 << 14), 4, "avx2+fma");
-        assert!(!diff_reports(&base1, &par4, 10.0).comparable);
+        assert!(!diff_reports(&base1, &par4, 10.0).comparable());
         // …and neither is a scalar-kernel run against a vector baseline.
         let scalar = with_env(report(300.0, 3.3, true, 1 << 14), 1, "scalar8");
-        assert!(!diff_reports(&base1, &scalar, 10.0).comparable);
+        assert!(!diff_reports(&base1, &scalar, 10.0).comparable());
         // Matching values compare as before.
         let same = with_env(report(990.0, 1.01, true, 1 << 14), 1, "avx2+fma");
-        assert!(diff_reports(&base1, &same, 10.0).comparable);
+        assert!(diff_reports(&base1, &same, 10.0).comparable());
+    }
+
+    #[test]
+    fn the_report_names_the_differing_key() {
+        let with_dispatch = |kernel: &str| {
+            let mut v = report(1000.0, 1.0, true, 1 << 14);
+            if let Value::Object(f) = &mut v {
+                f.push(("simd_dispatch".into(), Value::Str(kernel.into())));
+            }
+            v
+        };
+        let d = diff_reports(&with_dispatch("avx2+fma"), &with_dispatch("avx512"), 10.0);
+        assert_eq!(d.differing, ["simd_dispatch"]);
+        let text = render_report(&d, 10.0);
+        assert!(text.contains("workloads differ (simd_dispatch)"), "{text}");
+        assert!(
+            render_markdown(&d, 10.0).contains("Workloads differ (simd_dispatch)"),
+            "markdown names it too"
+        );
+        let quick = report(1000.0, 1.0, true, 2048);
+        let d = diff_reports(&report(1000.0, 1.0, true, 1 << 14), &quick, 10.0);
+        assert_eq!(d.differing, ["refs"]);
     }
 
     #[test]

@@ -44,9 +44,11 @@ fn main() {
     );
 
     // 2-NN per descriptor with the paper's optimized pipeline.
-    let cfg = SelectConfig::optimized(QueueKind::Merge, 16); // k=16: m·2^j constraint, take top-2
     let t0 = std::time::Instant::now();
-    let knn = knn_search(&a, &b, &cfg);
+    let index = Index::new(&b).expect("image B has descriptors");
+    let knn = index
+        .search(&a, &SearchPlan::new(2), Hooks::NONE)
+        .expect("2 <= N");
     let elapsed = t0.elapsed().as_secs_f64();
 
     // Lowe's ratio test on squared distances (ratio on distances →

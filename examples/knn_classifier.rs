@@ -3,9 +3,9 @@
 //! for predicting unknown information".
 //!
 //! Synthetic 3-class Gaussian clusters in 32 dimensions; a k-NN
-//! majority-vote classifier labels held-out points, sweeping k and both
-//! queue structures to show they produce identical predictions (the
-//! algorithm choice is purely a performance decision).
+//! majority-vote classifier labels held-out points, sweeping k and the
+//! worker count to show that the worker count changes no prediction
+//! (it is purely a performance decision).
 //!
 //! ```text
 //! cargo run --release --example knn_classifier
@@ -55,12 +55,13 @@ fn main() {
         TEST,
         centers.len()
     );
+    let index = Index::new(&train).expect("a non-empty training set");
     let mut last_preds: Option<Vec<usize>> = None;
-    for kind in [QueueKind::Merge, QueueKind::Heap] {
+    for threads in [1usize, 2] {
         for k in [8usize, 32] {
-            let cfg = SelectConfig::optimized(kind, k);
+            let plan = SearchPlan::new(k).with_threads(threads);
             let t0 = std::time::Instant::now();
-            let knn = knn_search(&test, &train, &cfg);
+            let knn = index.search(&test, &plan, Hooks::NONE).expect("k <= N");
             let preds: Vec<usize> = knn
                 .iter()
                 .map(|nbs| {
@@ -78,20 +79,19 @@ fn main() {
                 .collect();
             let acc = preds.iter().zip(&truth).filter(|(p, t)| p == t).count() as f64 / TEST as f64;
             println!(
-                "  {:<28} k={k:<3} accuracy {:>5.1}%  ({:.1} ms)",
-                cfg.label(),
+                "  threads={threads} k={k:<3} accuracy {:>5.1}%  ({:.1} ms)",
                 acc * 100.0,
                 t0.elapsed().as_secs_f64() * 1e3
             );
             assert!(acc > 0.9, "classifier should separate these clusters");
-            // Same k ⇒ identical predictions regardless of queue kind.
+            // Same k ⇒ identical predictions at any worker count.
             if k == 32 {
                 if let Some(prev) = &last_preds {
-                    assert_eq!(prev, &preds, "queue choice must not change results");
+                    assert_eq!(prev, &preds, "the worker count must not change results");
                 }
                 last_preds = Some(preds);
             }
         }
     }
-    println!("all queue structures agree — the choice is purely about speed");
+    println!("every worker count agrees — the choice is purely about speed");
 }

@@ -24,11 +24,11 @@ fn main() {
     let refs = PointSet::uniform(20_000, 128, 1); // paper's dim = 128
     let queries = PointSet::uniform(8, 128, 2);
     let t0 = std::time::Instant::now();
-    let results = knn_search(
-        &queries,
-        &refs,
-        &SelectConfig::optimized(QueueKind::Merge, 8),
-    );
+    // Prepare the references once; search them as often as needed.
+    let index = Index::new(&refs).expect("a non-empty reference set");
+    let results = index
+        .search(&queries, &SearchPlan::new(8), Hooks::NONE)
+        .expect("8 <= N and matching dimensions");
     println!(
         "\n8-NN of {} queries against {} references ({} dims) in {:.1} ms:",
         queries.len(),

@@ -15,8 +15,10 @@
 //!
 //! let refs = PointSet::uniform(500, 16, 7);
 //! let queries = PointSet::uniform(3, 16, 8);
-//! let res = knn_search(&queries, &refs, &SelectConfig::optimized(QueueKind::Merge, 8));
+//! let index = Index::new(&refs)?;
+//! let res = index.search(&queries, &SearchPlan::new(8), Hooks::NONE)?;
 //! assert_eq!(res.len(), 3);
+//! # Ok::<(), KnnError>(())
 //! ```
 
 pub use baselines;
@@ -27,10 +29,10 @@ pub use simt;
 /// The most commonly used items in one import.
 pub mod prelude {
     pub use baselines::{gpu_warp_select, qms_select, sort_select, tbs_select};
-    pub use knn::{knn_search, knn_search_with, Metric, PointSet};
+    pub use knn::{Hooks, Index, Metric, PointSet, SearchPlan};
     pub use kselect::{
         select_k, select_k_chunked, BufferConfig, HeapQueue, HpConfig, InsertionQueue, KQueue,
-        MergeQueue, Neighbor, QueueKind, SelectConfig,
+        KnnError, MergeQueue, Neighbor, QueueKind, SelectConfig,
     };
     pub use simt::{GpuSpec, TimingModel};
 }

@@ -175,7 +175,9 @@ fn native_and_gpu_pipelines_agree_end_to_end() {
     let refs = PointSet::uniform(400, 24, 55);
     let queries = PointSet::uniform(40, 24, 56);
     let cfg = SelectConfig::optimized(QueueKind::Merge, 8);
-    let native = knn_search(&queries, &refs, &cfg);
+    let index = Index::new(&refs).unwrap();
+    let native = index.search(&queries, &SearchPlan::new(8), Hooks::NONE);
+    let native = native.unwrap();
     let tm = TimingModel::tesla_c2075();
     let sim = knn::gpu_knn(&tm, &queries, &refs, &cfg);
     for (a, b) in native.iter().zip(&sim.neighbors) {
