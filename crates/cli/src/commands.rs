@@ -220,6 +220,20 @@ fn tracer_imbalance_warning(tracer: &trace::Tracer) -> Option<String> {
     }
 }
 
+/// The plan `profile` runs: one kernel attempt with no host oracle and
+/// no host fallback, so the trace times the kernel alone, and a warp
+/// that panics or returns a structurally bad result reports
+/// [`kselect::gpu::QueryStatus::Failed`] instead of being answered by a
+/// retry or the host.
+fn profile_plan(select: SelectConfig) -> knn::GpuPlan {
+    knn::GpuPlan::new(select).with_resilience(GpuResilience {
+        max_attempts: 1,
+        verify_oracle: false,
+        fallback: false,
+        ..GpuResilience::default()
+    })
+}
+
 /// Execute a parsed command, writing human-readable output to stdout.
 /// Returns a process exit code.
 pub fn run(cmd: Command) -> i32 {
@@ -467,9 +481,18 @@ fn run_profile(a: ProfileArgs) -> i32 {
     let Some(kk) = checked_padded_k(queue, k, n) else {
         return 1;
     };
-    let cfg = SelectConfig::optimized(queue, kk);
+    let plan = profile_plan(SelectConfig::optimized(queue, kk));
     let mut tracer = trace::Tracer::new();
-    let res = knn::gpu_knn_traced(&tm, &qs, &refs, &cfg, &mut tracer);
+    let hooks = knn::GpuHooks::NONE.with_tracer(&mut tracer);
+    let res = match knn::gpu_knn(&tm, &qs, &refs, &plan, hooks) {
+        Ok(res) => res,
+        Err(e) => return failed(e),
+    };
+    let ok = res.report.ok_count();
+    if ok != queries {
+        eprintln!("error: only {ok} of {queries} queries came from a clean kernel attempt");
+        return 1;
+    }
     println!(
         "profiled {queries} queries × {n} refs (dim {DIM}, {queue:?}, k={k}): \
          distance {:.3} ms + select {:.3} ms simulated\n",
@@ -578,7 +601,11 @@ fn run_faults(a: FaultArgs) -> i32 {
         return 1;
     };
     let cfg = SelectConfig::optimized(a.queue, kk);
-    let oracle = knn::gpu_knn(&tm, &qs, &refs, &cfg);
+    // The fault-free oracle: the plain kernel launch on the natively
+    // computed matrix, independent of the pipeline under test.
+    let fm = knn::block::squared_distances(&qs, &refs);
+    let dm = DistanceMatrix::from_row_major(fm.as_slice(), fm.q(), fm.n());
+    let oracle = gpu_select_k(&tm.spec, &dm, &cfg);
     println!(
         "fault campaigns: {} seeds × ({} queries × {} refs, {:?}, k={}) \
          [aborts {} hangs {} bitflips {} pcie {}/{}] attempts={} (fault hooks: {})\n",
@@ -600,7 +627,7 @@ fn run_faults(a: FaultArgs) -> i32 {
     let mut totals = kselect::gpu::ResilienceCounters::default();
     let mut corrupted = 0usize;
     for s in a.seed..a.seed + a.seeds {
-        let plan = simt::FaultPlan::seeded(s)
+        let faults = simt::FaultPlan::seeded(s)
             .with_aborts(a.aborts)
             .with_hangs(a.hangs)
             .with_bitflips(a.bitflips)
@@ -609,20 +636,13 @@ fn run_faults(a: FaultArgs) -> i32 {
             max_attempts: a.attempts,
             ..GpuResilience::default()
         }
-        .with_faults(plan);
-        let run = match &jn {
-            Some(j) => knn::gpu_knn_resilient_journaled(
-                &tm,
-                &qs,
-                &refs,
-                &cfg,
-                &res,
-                j,
-                &format!("seed{s}"),
-            ),
-            None => knn::gpu_knn_resilient(&tm, &qs, &refs, &cfg, &res),
-        };
-        let out = match run {
+        .with_faults(faults);
+        let tag = format!("seed{s}");
+        let hooks = jn.as_ref().map_or(knn::GpuHooks::NONE, |j| {
+            knn::GpuHooks::NONE.with_journal(j, &tag)
+        });
+        let plan = knn::GpuPlan::new(cfg).with_resilience(res);
+        let out = match knn::gpu_knn(&tm, &qs, &refs, &plan, hooks) {
             Ok(out) => out,
             Err(e) => {
                 eprintln!("error: seed {s}: {}: {e}", e.name());
@@ -1260,6 +1280,28 @@ mod tests {
         // invalid k is a clean named error
         assert_eq!(run_stats(stats_args(100, 0, 4, 1, Sinks::default())), 1);
         assert_eq!(run_stats(stats_args(100, 200, 4, 1, Sinks::default())), 1);
+    }
+
+    #[test]
+    fn profile_plan_leaves_a_failing_kernel_failed() {
+        // No retry and no host fallback: a kernel that aborts on every
+        // warp leaves its queries failed (`profile` then exits 1), not
+        // answered by the host.
+        let tm = TimingModel::tesla_c2075();
+        let (refs, qs) = (
+            PointSet::uniform(256, 16, 11),
+            PointSet::uniform(40, 16, 12),
+        );
+        let plan = profile_plan(SelectConfig::optimized(QueueKind::Merge, 8));
+        let faults = simt::FaultPlan::seeded(1).with_aborts(1.0);
+        let aborting = plan.with_resilience(plan.resilience.with_faults(faults));
+        match knn::gpu_knn(&tm, &qs, &refs, &aborting, knn::GpuHooks::NONE) {
+            Ok(res) => assert_eq!(res.report.failed_count(), 40, "{:?}", res.report),
+            Err(e) => assert_eq!(
+                (e, simt::fault::compiled()),
+                (KnnError::FaultsNotCompiled, false)
+            ),
+        }
     }
 
     #[test]

@@ -21,7 +21,7 @@ pub use buffered::WarpBuffer;
 pub use hierarchical::{level_sizes, WarpHierarchy};
 pub use queues::{RepairKind, WarpQueues};
 pub use resilient::{
-    gpu_select_k_checked, gpu_select_k_resilient, gpu_select_k_resilient_gated, GpuResilience,
+    gpu_select_k_resilient, gpu_select_k_resilient_gated, validate_request, GpuResilience,
     GpuResilientSelect, QueryStatus, ResilienceCounters, SearchReport,
 };
 pub use select::{gpu_select_k, DistanceMatrix, GpuSelectResult};

@@ -1,26 +1,23 @@
 //! Resilient k-selection: checked inputs, per-warp retry, output
 //! verification, and graceful degradation to exact host selection.
 //!
-//! Two entry points wrap [`super::gpu_select_k`]:
-//!
-//! * [`gpu_select_k_checked`] — same execution, but untrusted inputs
-//!   (`k`, merge shape, buffer size) come back as typed
-//!   [`KnnError`]s instead of panics.
-//! * [`gpu_select_k_resilient`] — additionally runs every warp through
-//!   [`simt::launch_resilient`]: injected or genuine failures are
-//!   retried with simulated backoff, each completed attempt is
-//!   validated structurally (sorted, ids in range, distances match the
-//!   device matrix — via [`check::audit`]) and optionally against a
-//!   host oracle, and a warp that exhausts its attempts degrades to an
-//!   exact host-side selection for its queries. The outcome of every
-//!   query is recorded in a [`SearchReport`] — results are never
-//!   silently wrong, only slower or explicitly failed.
+//! [`validate_request`] turns untrusted inputs (`k`, merge shape,
+//! buffer size) into typed [`KnnError`]s instead of the panics of
+//! [`super::gpu_select_k`]. [`gpu_select_k_resilient`] checks them the
+//! same way and runs every warp through [`simt::launch_resilient`]:
+//! injected or genuine failures are retried with simulated backoff,
+//! each completed attempt is validated structurally (sorted, ids in
+//! range, distances match the device matrix — via [`check::audit`])
+//! and optionally against a host oracle, and a warp that exhausts its
+//! attempts degrades to an exact host-side selection for its queries.
+//! The outcome of every query is recorded in a [`SearchReport`] —
+//! results are never silently wrong, only slower or explicitly failed.
 
 use simt::{GpuSpec, Metrics, WarpCtx, WARP_SIZE};
 
 use crate::error::KnnError;
 use crate::select::SelectConfig;
-use crate::types::{sort_neighbors, Neighbor, QueueKind};
+use crate::types::{sort_neighbors, Neighbor};
 
 use super::select::{warp_kernel, DistanceMatrix};
 use super::KernelCounters;
@@ -239,6 +236,9 @@ pub struct GpuResilientSelect {
     pub neighbors: Vec<Option<Vec<Neighbor>>>,
     /// Metrics of the accepted kernel attempts (the delivered work).
     pub metrics: Metrics,
+    /// The Hierarchical Partition construction inside the accepted
+    /// attempts: a prefix of `metrics`, zero without HP.
+    pub build_metrics: Metrics,
     /// Metrics of rejected attempts — real simulated work, thrown away.
     pub wasted: Metrics,
     /// Warps launched.
@@ -249,28 +249,21 @@ pub struct GpuResilientSelect {
     pub report: SearchReport,
 }
 
-/// Validate a selection request against the device and the matrix,
-/// returning the typed error a caller can act on. Shared by the checked
-/// and resilient entry points (and, through them, the `knn` pipeline).
-pub fn validate_request(
-    spec: &GpuSpec,
-    dm: &DistanceMatrix,
-    cfg: &SelectConfig,
-) -> Result<(), KnnError> {
-    if dm.n() == 0 {
+/// Validate a selection request over `n` references per query against
+/// the device, returning the typed error a caller can act on: the
+/// config's own rules ([`SelectConfig::validate`]), then the buffer's
+/// fit in shared memory. The resilient entry points run it first, and
+/// so does the `knn` crate's simulated pipeline before it computes any
+/// distance. A config the kernels cannot run must fail here: inside the
+/// resilient launch its panics would be retried and then degraded to
+/// host fallback.
+pub fn validate_request(spec: &GpuSpec, n: usize, cfg: &SelectConfig) -> Result<(), KnnError> {
+    if n == 0 {
         return Err(KnnError::EmptyInput {
             what: "reference points",
         });
     }
-    if cfg.k == 0 || cfg.k > dm.n() {
-        return Err(KnnError::InvalidK {
-            k: cfg.k,
-            n: dm.n(),
-        });
-    }
-    if cfg.queue == QueueKind::Merge && check::audit::merge_level_bounds(cfg.k, cfg.m).is_err() {
-        return Err(KnnError::MergeShape { k: cfg.k, m: cfg.m });
-    }
+    cfg.validate(n)?;
     if let Some(buf) = &cfg.buffer {
         // Same capacity rule as `gpu_select_k`'s assert: padded slots ×
         // 32 lanes × (f32 + u32) + the intra-warp flag word.
@@ -283,17 +276,6 @@ pub fn validate_request(
         }
     }
     Ok(())
-}
-
-/// [`super::gpu_select_k`] with typed input validation instead of
-/// panics. Execution, results and metrics are identical.
-pub fn gpu_select_k_checked(
-    spec: &GpuSpec,
-    dm: &DistanceMatrix,
-    cfg: &SelectConfig,
-) -> Result<super::GpuSelectResult, KnnError> {
-    validate_request(spec, dm, cfg)?;
-    Ok(super::gpu_select_k(spec, dm, cfg))
 }
 
 /// Exact host-side selection for one query: the degraded path warps
@@ -363,7 +345,7 @@ fn resilient_select<G>(
 where
     G: FnMut(usize, &Metrics, f64) -> bool,
 {
-    validate_request(spec, dm, cfg)?;
+    validate_request(spec, dm.n(), cfg)?;
     if res.faults.is_some_and(|p| p.wants_kernel_faults()) && !simt::fault::compiled() {
         return Err(KnnError::FaultsNotCompiled);
     }
@@ -433,6 +415,7 @@ where
     let mut neighbors: Vec<Option<Vec<Neighbor>>> = Vec::with_capacity(dm.q());
     let mut statuses: Vec<QueryStatus> = Vec::with_capacity(dm.q());
     let mut counters = KernelCounters::default();
+    let mut build_metrics = Metrics::new();
     let mut rc = ResilienceCounters::default();
     let mut fallback_bytes = 0u64;
 
@@ -460,8 +443,9 @@ where
             continue;
         }
         match &run.result {
-            Some((lanes, _, warp_counters)) => {
+            Some((lanes, build, warp_counters)) => {
                 counters.merge(warp_counters);
+                build_metrics.add(build);
                 for lane in lanes.iter().take(live) {
                     neighbors.push(Some(lane.clone()));
                     statuses.push(if run.attempts == 1 {
@@ -507,6 +491,7 @@ where
     Ok(GpuResilientSelect {
         neighbors,
         metrics: launched.metrics,
+        build_metrics,
         wasted: launched.wasted,
         n_warps,
         counters,
@@ -523,6 +508,7 @@ where
 mod tests {
     use super::*;
     use crate::buffered::BufferConfig;
+    use crate::types::QueueKind;
     use rand::{Rng, SeedableRng};
 
     fn random_dm(q: usize, n: usize, seed: u64) -> DistanceMatrix {
@@ -532,10 +518,9 @@ mod tests {
     }
 
     #[test]
-    fn checked_rejects_bad_inputs_with_typed_errors() {
+    fn validate_request_rejects_bad_inputs_with_typed_errors() {
         let spec = GpuSpec::tesla_c2075();
-        let dm = random_dm(8, 32, 1);
-        let err = |cfg: SelectConfig| gpu_select_k_checked(&spec, &dm, &cfg).unwrap_err();
+        let err = |cfg: SelectConfig| validate_request(&spec, 32, &cfg).unwrap_err();
 
         assert_eq!(
             err(SelectConfig::plain(QueueKind::Heap, 0)).name(),
@@ -554,17 +539,11 @@ mod tests {
             intra_warp: true,
         });
         assert_eq!(err(huge_buffer).name(), "buffer-too-large");
-    }
-
-    #[test]
-    fn checked_matches_unchecked_on_valid_input() {
-        let spec = GpuSpec::tesla_c2075();
-        let dm = random_dm(40, 256, 2);
-        let cfg = SelectConfig::optimized(QueueKind::Merge, 16);
-        let a = super::super::gpu_select_k(&spec, &dm, &cfg);
-        let b = gpu_select_k_checked(&spec, &dm, &cfg).unwrap();
-        assert_eq!(a.neighbors, b.neighbors);
-        assert_eq!(a.metrics, b.metrics);
+        // The rest of `SelectConfig::validate` applies too (its own
+        // tests cover each rule).
+        let mut one_group = SelectConfig::plain(QueueKind::Heap, 8);
+        one_group.hp = Some(crate::hierarchical::HpConfig { g: 1 });
+        assert_eq!(err(one_group).name(), "invalid-param");
     }
 
     #[test]
@@ -575,6 +554,7 @@ mod tests {
         let plain = super::super::gpu_select_k(&spec, &dm, &cfg);
         let res = gpu_select_k_resilient(&spec, &dm, &cfg, &GpuResilience::default()).unwrap();
         assert_eq!(res.metrics, plain.metrics, "accepted work identical");
+        assert_eq!(res.build_metrics, plain.build_metrics);
         assert_eq!(res.wasted, Metrics::new());
         assert_eq!(res.counters, plain.counters);
         for (qi, got) in res.neighbors.iter().enumerate() {

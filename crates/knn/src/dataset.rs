@@ -4,6 +4,7 @@
 
 use std::borrow::Cow;
 
+use kselect::KnnError;
 use rand::{Rng, SeedableRng};
 
 /// A dense row-major set of `count` points of dimension `dim`.
@@ -59,6 +60,23 @@ impl PointSet {
     pub fn as_flat(&self) -> &[f32] {
         &self.data
     }
+}
+
+/// Typed validation of one point set: an empty set, or any non-finite
+/// coordinate, is a named error instead of a panic or a silently wrong
+/// answer downstream (a [`PointSet`] cannot have zero dimensions).
+/// `kind` labels the set in the error ("query" / "reference").
+pub fn validate_points(points: &PointSet, kind: &'static str) -> Result<(), KnnError> {
+    if points.is_empty() {
+        return Err(KnnError::EmptyInput { what: kind });
+    }
+    if let Some(flat_idx) = points.as_flat().iter().position(|v| !v.is_finite()) {
+        return Err(KnnError::NonFiniteInput {
+            kind,
+            index: flat_idx / points.dim(),
+        });
+    }
+    Ok(())
 }
 
 /// An owned set, for [`crate::Index::new`].

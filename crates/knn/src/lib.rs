@@ -4,8 +4,9 @@
 //! ([`dataset`]), Euclidean distance matrices ([`distance`]) with both a
 //! real rayon implementation and an analytic simulated-GPU cost model,
 //! CPU k-selection baselines ([`cpu`], the paper's "CPU 1"/"CPU 16"
-//! rows), the PCIe transfer model ([`pcie`], the "Data Copy" row), and
-//! end-to-end pipelines ([`pipeline`]).
+//! rows), the PCIe transfer model ([`pcie`], the "Data Copy" row), the
+//! native end-to-end pipeline ([`pipeline`]) and the simulated GPU one
+//! ([`simulated`]).
 //!
 //! Native search is one prepared [`Index`] and one
 //! [`Index::search`] under a [`SearchPlan`]:
@@ -21,6 +22,9 @@
 //! assert_eq!(knn[0].len(), 8);
 //! # Ok::<(), kselect::KnnError>(())
 //! ```
+//!
+//! The simulated GPU pipeline is one [`gpu_knn`] under a [`GpuPlan`]
+//! with a [`GpuHooks`] bundle.
 
 pub mod cpu;
 pub mod dataset;
@@ -31,9 +35,10 @@ pub mod metered;
 pub mod metric;
 pub mod pcie;
 pub mod pipeline;
+pub mod simulated;
 
 pub use cpu::{cpu_select_parallel, cpu_select_serial, heap_select};
-pub use dataset::PointSet;
+pub use dataset::{validate_points, PointSet};
 pub use distance::block::{self, FlatMatrix, DEFAULT_STREAM_TILE};
 pub use distance::simd::{self, dispatch_name};
 pub use distance::{
@@ -48,9 +53,8 @@ pub use metered::{
 pub use metric::{distance_matrix_flat_with, Metric};
 pub use pcie::{data_copy_time, transfer_with_faults, PcieReport};
 pub use pipeline::{
-    gpu_knn, gpu_knn_resilient, gpu_knn_resilient_deadline, gpu_knn_resilient_journaled,
-    gpu_knn_traced, knn_search, knn_search_streamed_parallel,
-    knn_search_streamed_parallel_timelined, knn_search_with_observed, queue_tag, resolve_threads,
-    validate_points, CancelToken, GpuKnnResult, Hooks, Index, NeverCancel, NullObserver, Phase,
-    PhaseObserver, ResilientKnnResult, SearchPlan, TileBudget,
+    knn_search, knn_search_streamed_parallel, knn_search_streamed_parallel_timelined,
+    knn_search_with_observed, resolve_threads, CancelToken, Hooks, Index, NeverCancel,
+    NullObserver, Phase, PhaseObserver, SearchPlan, TileBudget,
 };
+pub use simulated::{gpu_knn, kernel_seconds, queue_tag, GpuHooks, GpuKnnResult, GpuPlan};

@@ -42,7 +42,8 @@ pub struct PcieReport {
     pub seconds: f64,
 }
 
-/// Move `bytes` across PCIe under a fault plan. Each attempt draws
+/// Move `bytes` across PCIe, under a fault plan if one is given (with
+/// none, one clean attempt). Each attempt draws
 /// deterministic stall/corruption events from
 /// [`simt::FaultPlan::pcie_events`] keyed on `(transfer_idx, attempt)`:
 /// a stall multiplies that attempt's time by [`STALL_FACTOR`]; a
@@ -56,7 +57,7 @@ pub struct PcieReport {
 pub fn transfer_with_faults(
     spec: &GpuSpec,
     bytes: u64,
-    plan: &simt::FaultPlan,
+    plan: Option<&simt::FaultPlan>,
     transfer_idx: u64,
     max_attempts: u32,
 ) -> Result<PcieReport, KnnError> {
@@ -64,7 +65,8 @@ pub fn transfer_with_faults(
     let mut report = PcieReport::default();
     for attempt in 1..=max_attempts.max(1) {
         report.attempts = attempt;
-        let (stalled, corrupted) = plan.pcie_events(transfer_idx, attempt);
+        let (stalled, corrupted) =
+            plan.map_or((false, false), |p| p.pcie_events(transfer_idx, attempt));
         report.seconds += if stalled {
             report.stalls += 1;
             clean * STALL_FACTOR
@@ -106,18 +108,19 @@ mod tests {
     fn clean_plan_is_one_clean_attempt() {
         let spec = GpuSpec::tesla_c2075();
         let plan = simt::FaultPlan::seeded(1); // all rates zero
-        let r = transfer_with_faults(&spec, 1 << 20, &plan, 0, 3).unwrap();
+        let r = transfer_with_faults(&spec, 1 << 20, Some(&plan), 0, 3).unwrap();
         assert_eq!(r.attempts, 1);
         assert_eq!(r.stalls, 0);
         assert_eq!(r.corruptions, 0);
         assert_eq!(r.seconds, transfer_time(&spec, 1 << 20));
+        assert_eq!(transfer_with_faults(&spec, 1 << 20, None, 0, 3), Ok(r));
     }
 
     #[test]
     fn stalls_cost_time_but_deliver() {
         let spec = GpuSpec::tesla_c2075();
         let plan = simt::FaultPlan::seeded(2).with_pcie(1.0, 0.0);
-        let r = transfer_with_faults(&spec, 1 << 20, &plan, 0, 3).unwrap();
+        let r = transfer_with_faults(&spec, 1 << 20, Some(&plan), 0, 3).unwrap();
         assert_eq!(r.attempts, 1, "stall alone never forces a retry");
         assert_eq!(r.stalls, 1);
         assert_eq!(r.seconds, transfer_time(&spec, 1 << 20) * STALL_FACTOR);
@@ -127,7 +130,7 @@ mod tests {
     fn persistent_corruption_is_a_named_error() {
         let spec = GpuSpec::tesla_c2075();
         let plan = simt::FaultPlan::seeded(3).with_pcie(0.0, 1.0);
-        let err = transfer_with_faults(&spec, 1 << 20, &plan, 0, 4).unwrap_err();
+        let err = transfer_with_faults(&spec, 1 << 20, Some(&plan), 0, 4).unwrap_err();
         assert_eq!(err, KnnError::TransferFailed { attempts: 4 });
         assert_eq!(err.name(), "transfer-failed");
     }
@@ -137,8 +140,8 @@ mod tests {
         let spec = GpuSpec::tesla_c2075();
         let plan = simt::FaultPlan::seeded(4).with_pcie(0.4, 0.4);
         for idx in 0..8 {
-            let a = transfer_with_faults(&spec, 4096, &plan, idx, 5);
-            let b = transfer_with_faults(&spec, 4096, &plan, idx, 5);
+            let a = transfer_with_faults(&spec, 4096, Some(&plan), idx, 5);
+            let b = transfer_with_faults(&spec, 4096, Some(&plan), idx, 5);
             assert_eq!(a, b);
         }
     }

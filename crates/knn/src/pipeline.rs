@@ -28,35 +28,20 @@
 //!   them, until the next benchmark change moves it onto [`Index`].
 //!   Each builds its [`Index`] per call, borrowing the caller's
 //!   references.
-//! * [`gpu_knn`] — the simulated pipeline the experiments use: distances
-//!   are computed natively (they are *data*), the distance kernel's cost
-//!   is charged analytically, and k-selection runs for real on the SIMT
-//!   simulator. Returns the per-phase simulated times the paper's Table I
-//!   reports.
-//! * [`gpu_knn_traced`] — the same pipeline recording its phases as
-//!   spans on a [`trace::Tracer`]'s simulated clock, plus the kernel
-//!   event counters when the `trace` feature is on.
-//! * [`gpu_knn_resilient`] — the checked, fault-tolerant pipeline:
-//!   typed input validation ([`KnnError`]), PCIe transfers that survive
-//!   stalls and detected corruption, and per-warp retry with degraded
-//!   host fallback via [`kselect::gpu::gpu_select_k_resilient`].
+//!
+//! The simulated GPU pipeline the experiments use is a separate entry,
+//! [`crate::simulated::gpu_knn`].
 
 use std::borrow::Cow;
 use std::ops::Range;
 
-use kselect::gpu::{
-    gpu_select_k, gpu_select_k_resilient, gpu_select_k_resilient_gated, DistanceMatrix,
-    GpuResilience, GpuResilientSelect, KernelCounters, SearchReport,
-};
 use kselect::types::Neighbor;
 use kselect::{Candidates, KnnError, SelectConfig, TopK};
-use simt::{Metrics, TimingModel};
 use trace::{NullTimeline, TimelineHooks};
 
 use crate::dataset::PointSet;
-use crate::distance::{block, clamp_non_finite, gpu_distance_metrics, simd, squared_norm};
+use crate::distance::{block, clamp_non_finite, simd, squared_norm};
 use crate::metric::Metric;
-use crate::pcie::{self, PcieReport};
 
 /// A phase of the native (wall-clock) pipeline, named for observers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -654,390 +639,10 @@ pub fn knn_search_streamed_parallel_timelined<
     Index::new(refs)?.search(queries, &plan, hooks)
 }
 
-/// Result of the simulated GPU k-NN pipeline.
-pub struct GpuKnnResult {
-    /// Per-query neighbors from the simulated selection kernel.
-    pub neighbors: Vec<Vec<Neighbor>>,
-    /// Metrics of the k-selection kernel (measured on the simulator).
-    pub select_metrics: Metrics,
-    /// Metrics of the distance kernel (analytic model).
-    pub distance_metrics: Metrics,
-    /// Simulated seconds for the selection kernel.
-    pub select_time: f64,
-    /// Simulated seconds for the distance kernel.
-    pub distance_time: f64,
-    /// Technique-level event counters from the selection kernel
-    /// (all-zero unless built with the `trace` feature).
-    pub counters: KernelCounters,
-}
-
-/// Run the full simulated pipeline for `queries` × `refs`.
-///
-/// The distance matrix is computed natively and uploaded into simulated
-/// global memory; the distance kernel's execution cost comes from
-/// [`gpu_distance_metrics`] (see that function for the calibration
-/// rationale), while k-selection executes instruction-by-instruction on
-/// the simulator.
-pub fn gpu_knn(
-    tm: &TimingModel,
-    queries: &PointSet,
-    refs: &PointSet,
-    cfg: &SelectConfig,
-) -> GpuKnnResult {
-    let mut scratch = trace::Tracer::new();
-    gpu_knn_traced(tm, queries, refs, cfg, &mut scratch)
-}
-
-/// [`gpu_knn`], recording the pipeline onto `tracer`'s simulated clock.
-///
-/// The trace lays out as: a `gpu_knn` phase containing the `distance`
-/// phase (analytic distance kernel), a `transfer.upload` phase (PCIe
-/// cost of the distance matrix — informational; not part of the
-/// returned kernel times, matching the paper's timing breakdown), and
-/// the `select` phase whose `gpu_select_k` kernel span nests an
-/// `hp_build` span (when Hierarchical Partition is on) and one
-/// concurrent per-warp span per launched warp. Kernel event counters
-/// are folded into the tracer at the end of the selection phase.
-pub fn gpu_knn_traced(
-    tm: &TimingModel,
-    queries: &PointSet,
-    refs: &PointSet,
-    cfg: &SelectConfig,
-    tracer: &mut trace::Tracer,
-) -> GpuKnnResult {
-    use trace::Category;
-
-    let pipeline = tracer.open_span(Category::Phase, "gpu_knn");
-
-    // Distance phase: computed natively, costed analytically.
-    let dist_m = gpu_distance_metrics(queries.len(), refs.len(), queries.dim());
-    let distance_time = tracer.scoped(Category::Phase, "distance", |t| {
-        simt::tracing::kernel_span(t, "distance_kernel", tm, &dist_m)
-    });
-    let fm = block::squared_distances(queries, refs);
-    let dm = DistanceMatrix::from_row_major(fm.as_slice(), fm.q(), fm.n());
-
-    // The distance matrix never leaves the device in the real pipeline;
-    // this span records what uploading the *inputs* would cost.
-    let input_bytes = ((queries.len() + refs.len()) * queries.dim() * 4) as u64;
-    simt::tracing::transfer_span(tracer, "transfer.upload", tm, input_bytes);
-
-    // Selection phase: executed instruction-by-instruction.
-    let sel = gpu_select_k(&tm.spec, &dm, cfg);
-    let select_time = tm.kernel_time(&sel.metrics);
-    let select_phase = tracer.open_span(Category::Phase, "select");
-    let kernel = tracer.open_span(Category::Kernel, "gpu_select_k");
-    // HP construction is a prefix of the kernel's metrics, and the
-    // timing model is monotone, so its share fits inside the kernel span.
-    let build_time = tm.kernel_time(&sel.build_metrics);
-    if sel.build_metrics.issued > 0 {
-        tracer.span(Category::Build, "hp_build", build_time);
-    }
-    simt::tracing::warp_spans(tracer, "select", sel.n_warps, select_time - build_time);
-    tracer.close_span(kernel);
-    tracer.merge_counters(&sel.counters.to_counter_set());
-    tracer.close_span(select_phase);
-
-    tracer.close_span(pipeline);
-
-    GpuKnnResult {
-        neighbors: sel.neighbors,
-        select_time,
-        distance_time,
-        select_metrics: sel.metrics,
-        distance_metrics: dist_m,
-        counters: sel.counters,
-    }
-}
-
-/// Typed validation of one point set: an empty set, or any non-finite
-/// coordinate, is a named error instead of a panic or a silently wrong
-/// answer downstream (a [`PointSet`] cannot have zero dimensions).
-/// `kind` labels the set in the error ("query" / "reference").
-pub fn validate_points(points: &PointSet, kind: &'static str) -> Result<(), KnnError> {
-    if points.is_empty() {
-        return Err(KnnError::EmptyInput { what: kind });
-    }
-    if let Some(flat_idx) = points.as_flat().iter().position(|v| !v.is_finite()) {
-        return Err(KnnError::NonFiniteInput {
-            kind,
-            index: flat_idx / points.dim(),
-        });
-    }
-    Ok(())
-}
-
-/// Result of the resilient simulated pipeline.
-#[derive(Debug)]
-pub struct ResilientKnnResult {
-    /// Per-query neighbors; `None` only for queries whose status is
-    /// [`kselect::gpu::QueryStatus::Failed`].
-    pub neighbors: Vec<Option<Vec<Neighbor>>>,
-    /// Per-query outcomes and recovery totals. PCIe stall/corruption
-    /// counts from the input upload are folded in.
-    pub report: SearchReport,
-    /// Metrics of the accepted selection attempts.
-    pub select_metrics: Metrics,
-    /// Metrics of rejected selection attempts — simulated work that was
-    /// retried away.
-    pub wasted_metrics: Metrics,
-    /// Metrics of the distance kernel (analytic model).
-    pub distance_metrics: Metrics,
-    /// Simulated seconds for the accepted selection work.
-    pub select_time: f64,
-    /// Simulated seconds for the distance kernel.
-    pub distance_time: f64,
-    /// The (possibly faulted, possibly retried) input upload.
-    pub upload: PcieReport,
-    /// Technique-level event counters from accepted attempts.
-    pub counters: KernelCounters,
-}
-
-impl ResilientKnnResult {
-    /// Total modelled simulated seconds this request consumed end to
-    /// end: the input upload (including stall and retry time), the
-    /// analytic distance kernel, accepted *and* wasted selection work,
-    /// retry backoff, and the host-fallback row transfers. A selection
-    /// phase that never launched (every warp gated out by a deadline)
-    /// costs zero rather than a phantom launch overhead.
-    pub fn modeled_seconds(&self, tm: &TimingModel) -> f64 {
-        let kernel_s = |m: &Metrics| {
-            if m.issued == 0 {
-                0.0
-            } else {
-                tm.kernel_time(m)
-            }
-        };
-        self.upload.seconds
-            + self.distance_time
-            + kernel_s(&self.select_metrics)
-            + kernel_s(&self.wasted_metrics)
-            + self.report.backoff_s
-            + self.report.fallback_transfer_s
-    }
-}
-
-/// [`gpu_knn`] hardened end to end. Inputs are validated up front
-/// ([`validate_points`] plus the selection-request checks), the input
-/// upload runs through the faultable PCIe model
-/// ([`pcie::transfer_with_faults`]), and k-selection runs under
-/// `res`'s retry/validation/fallback policy. Everything — including an
-/// injected fault campaign — is deterministic, so the whole
-/// [`ResilientKnnResult`] replays byte for byte.
-pub fn gpu_knn_resilient(
-    tm: &TimingModel,
-    queries: &PointSet,
-    refs: &PointSet,
-    cfg: &SelectConfig,
-    res: &GpuResilience,
-) -> Result<ResilientKnnResult, KnnError> {
-    resilient_pipeline(tm, queries, refs, res, |dm, _| {
-        gpu_select_k_resilient(&tm.spec, dm, cfg, res)
-    })
-}
-
-/// The body [`gpu_knn_resilient`] and [`gpu_knn_resilient_deadline`]
-/// share: validate the inputs, compute the distance matrix natively
-/// (costed analytically), upload the input points across the (possibly
-/// faulted) link, then run `select` on the matrix with the simulated
-/// seconds spent so far, and fold the upload's PCIe counts into the
-/// selection report.
-fn resilient_pipeline(
-    tm: &TimingModel,
-    queries: &PointSet,
-    refs: &PointSet,
-    res: &GpuResilience,
-    select: impl FnOnce(&DistanceMatrix, f64) -> Result<GpuResilientSelect, KnnError>,
-) -> Result<ResilientKnnResult, KnnError> {
-    validate_points(queries, "query")?;
-    validate_points(refs, "reference")?;
-    if queries.dim() != refs.dim() {
-        return Err(KnnError::DimMismatch {
-            queries: queries.dim(),
-            refs: refs.dim(),
-        });
-    }
-
-    let dist_m = gpu_distance_metrics(queries.len(), refs.len(), queries.dim());
-    let distance_time = tm.kernel_time(&dist_m);
-    let fm = block::squared_distances(queries, refs);
-    let dm = DistanceMatrix::from_row_major(fm.as_slice(), fm.q(), fm.n());
-
-    // Upload the input points across the (possibly faulted) link. A
-    // corrupt payload is detected and retried; only persistent
-    // corruption escalates to `TransferFailed`.
-    let input_bytes = ((queries.len() + refs.len()) * queries.dim() * 4) as u64;
-    let upload = match &res.faults {
-        Some(plan) => pcie::transfer_with_faults(&tm.spec, input_bytes, plan, 0, res.max_attempts)?,
-        None => PcieReport {
-            attempts: 1,
-            seconds: pcie::transfer_time(&tm.spec, input_bytes),
-            ..PcieReport::default()
-        },
-    };
-
-    let sel = select(&dm, upload.seconds + distance_time)?;
-    let mut report = sel.report;
-    report.counters.pcie_stalls += upload.stalls;
-    report.counters.pcie_corruptions += upload.corruptions;
-
-    Ok(ResilientKnnResult {
-        neighbors: sel.neighbors,
-        report,
-        select_time: tm.kernel_time(&sel.metrics),
-        distance_time,
-        select_metrics: sel.metrics,
-        wasted_metrics: sel.wasted,
-        distance_metrics: dist_m,
-        upload,
-        counters: sel.counters,
-    })
-}
-
-/// [`gpu_knn_resilient`] under a simulated-time deadline, with
-/// cooperative cancellation at warp-launch boundaries.
-///
-/// `budget_s` is the request's remaining deadline budget in simulated
-/// seconds, measured from the start of the input upload. The upload
-/// and the analytic distance kernel are single device-side operations
-/// and always complete (a launch in flight is not preempted); the
-/// selection kernel then consults a gate before *every* warp launch —
-/// once `upload + distance + selection work so far (accepted and
-/// wasted) + backoff` reaches the budget, no further warp launches,
-/// and the remaining queries report
-/// [`kselect::gpu::QueryStatus::DeadlineExceeded`] with no result:
-/// past-deadline queries stop consuming work instead of finishing
-/// late. Gated selection runs warps sequentially in warp-id order (see
-/// [`simt::launch_resilient_gated`]), so with a generous budget the
-/// output is byte-identical to [`gpu_knn_resilient`].
-pub fn gpu_knn_resilient_deadline(
-    tm: &TimingModel,
-    queries: &PointSet,
-    refs: &PointSet,
-    cfg: &SelectConfig,
-    res: &GpuResilience,
-    budget_s: f64,
-) -> Result<ResilientKnnResult, KnnError> {
-    resilient_pipeline(tm, queries, refs, res, |dm, spent_before_select| {
-        gpu_select_k_resilient_gated(&tm.spec, dm, cfg, res, |_, consumed, backoff_s| {
-            let select_s = if consumed.issued == 0 {
-                0.0
-            } else {
-                tm.kernel_time(consumed)
-            };
-            spent_before_select + select_s + backoff_s < budget_s
-        })
-    })
-}
-
-/// Lowercase queue-kind tag journal records carry (`merge`, `heap`,
-/// `insertion`).
-pub fn queue_tag(cfg: &SelectConfig) -> String {
-    format!("{:?}", cfg.queue).to_lowercase()
-}
-
-/// [`gpu_knn_resilient`] that additionally emits one
-/// [`trace::QueryRecord`] per query into `journal`, correlating each
-/// query's retry/fallback outcome with its latency share.
-///
-/// The simulated pipeline has no per-query wall clock, so the record's
-/// nanoseconds are **simulated-time attribution**: the distance
-/// kernel's time is shared evenly across queries, the accepted
-/// selection time is split proportionally to each query's kernel
-/// attempts (a query that needed 3 attempts carries 3 shares), retry
-/// backoff is split across the *extra* attempts, and the host-fallback
-/// transfer across the fallback queries. The attribution sums back to
-/// the report's totals, and — by construction — the slowest-query
-/// exemplars are exactly the queries the resilience layer struggled
-/// with, which is what a tail investigation needs surfaced.
-///
-/// `tag` labels the run in every record (e.g. the fault-campaign seed).
-/// With a [`trace::NullJournal`] this is `gpu_knn_resilient` plus one
-/// dead branch.
-pub fn gpu_knn_resilient_journaled<J: trace::Journal>(
-    tm: &TimingModel,
-    queries: &PointSet,
-    refs: &PointSet,
-    cfg: &SelectConfig,
-    res: &GpuResilience,
-    journal: &J,
-    tag: &str,
-) -> Result<ResilientKnnResult, KnnError> {
-    use kselect::gpu::QueryStatus;
-
-    let out = gpu_knn_resilient(tm, queries, refs, cfg, res)?;
-    if !journal.enabled() {
-        return Ok(out);
-    }
-    let q = out.report.statuses.len().max(1) as f64;
-    let attempts: Vec<u32> = out
-        .report
-        .statuses
-        .iter()
-        .map(|s| match s {
-            QueryStatus::Ok => 1,
-            QueryStatus::Recovered { attempts } | QueryStatus::Fallback { attempts } => *attempts,
-            QueryStatus::Failed { after_attempts, .. } => *after_attempts,
-            // A gated-out warp never launched, so its queries carry no
-            // attempt share of the selection time.
-            QueryStatus::DeadlineExceeded => 0,
-        })
-        .collect();
-    let total_attempts: u64 = attempts.iter().map(|&a| a as u64).sum();
-    let extra_attempts: u64 = attempts.iter().map(|&a| a.saturating_sub(1) as u64).sum();
-    let fallbacks = out.report.fallback_count().max(1) as f64;
-    let distance_ns = out.distance_time * 1e9 / q;
-    let select_ns_per_attempt = out.select_time * 1e9 / total_attempts.max(1) as f64;
-    let backoff_ns_per_extra = out.report.backoff_s * 1e9 / extra_attempts.max(1) as f64;
-    let fallback_ns_each = out.report.fallback_transfer_s * 1e9 / fallbacks;
-    for (qi, status) in out.report.statuses.iter().enumerate() {
-        let a = attempts[qi];
-        let select_ns = select_ns_per_attempt * a as f64;
-        let backoff_ns = backoff_ns_per_extra * a.saturating_sub(1) as f64;
-        let fallback_ns = if matches!(status, QueryStatus::Fallback { .. }) {
-            fallback_ns_each
-        } else {
-            0.0
-        };
-        let mut phase_ns = vec![
-            (
-                trace::journal::phases::DISTANCE.to_string(),
-                distance_ns as u64,
-            ),
-            (trace::journal::phases::SELECT.to_string(), select_ns as u64),
-        ];
-        if backoff_ns > 0.0 {
-            phase_ns.push((
-                trace::journal::phases::BACKOFF.to_string(),
-                backoff_ns as u64,
-            ));
-        }
-        if fallback_ns > 0.0 {
-            phase_ns.push((
-                trace::journal::phases::FALLBACK.to_string(),
-                fallback_ns as u64,
-            ));
-        }
-        journal.record(trace::QueryRecord {
-            query: qi as u64,
-            queue: queue_tag(cfg),
-            tag: tag.to_string(),
-            total_ns: phase_ns.iter().map(|(_, ns)| ns).sum(),
-            phase_ns,
-            blocks: 1,
-            status: status.name().to_string(),
-            attempts: a,
-            ..trace::QueryRecord::default()
-        });
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::eval::ground_truth;
-    use kselect::QueueKind;
 
     /// `k` neighbors at `tile` on `threads` workers.
     fn plan(k: usize, tile: usize, threads: usize) -> SearchPlan {
@@ -1188,56 +793,6 @@ mod tests {
     }
 
     #[test]
-    fn deadline_pipeline_with_generous_budget_matches_resilient() {
-        let queries = PointSet::uniform(64, 12, 214);
-        let refs = PointSet::uniform(300, 12, 215);
-        let cfg = SelectConfig::optimized(QueueKind::Merge, 16);
-        let tm = TimingModel::tesla_c2075();
-        let res = GpuResilience::default();
-        let plain = gpu_knn_resilient(&tm, &queries, &refs, &cfg, &res).unwrap();
-        let bounded = gpu_knn_resilient_deadline(&tm, &queries, &refs, &cfg, &res, 1e9).unwrap();
-        assert_eq!(plain.neighbors, bounded.neighbors);
-        assert_eq!(plain.report, bounded.report);
-        assert_eq!(plain.select_metrics, bounded.select_metrics);
-        assert!(bounded.modeled_seconds(&tm) > 0.0);
-    }
-
-    #[test]
-    fn deadline_pipeline_sheds_work_past_the_budget() {
-        let queries = PointSet::uniform(96, 12, 216); // 3 warps
-        let refs = PointSet::uniform(300, 12, 217);
-        let cfg = SelectConfig::optimized(QueueKind::Merge, 16);
-        let tm = TimingModel::tesla_c2075();
-        let res = GpuResilience::default();
-        let full = gpu_knn_resilient_deadline(&tm, &queries, &refs, &cfg, &res, 1e9).unwrap();
-        let full_s = full.modeled_seconds(&tm);
-
-        // A budget below even the upload+distance cost launches nothing.
-        let starved = gpu_knn_resilient_deadline(&tm, &queries, &refs, &cfg, &res, 0.0).unwrap();
-        assert_eq!(starved.report.deadline_exceeded_count(), 96);
-        assert!(starved.neighbors.iter().all(Option::is_none));
-        assert_eq!(starved.select_metrics.issued, 0);
-        assert!(starved.modeled_seconds(&tm) < full_s);
-
-        // A budget that barely clears upload+distance admits warp 0's
-        // launch (a launch in flight completes), then the gate closes:
-        // warps 1 and 2 never start, and their 64 queries report
-        // deadline-exceeded.
-        let partial_budget = starved.upload.seconds + starved.distance_time + 1e-9;
-        let partial =
-            gpu_knn_resilient_deadline(&tm, &queries, &refs, &cfg, &res, partial_budget).unwrap();
-        assert_eq!(partial.report.deadline_exceeded_count(), 64);
-        assert_eq!(partial.report.counters.deadline_skips, 2);
-        // The served prefix is bit-identical to the unbounded run.
-        for (a, b) in partial.neighbors.iter().zip(&full.neighbors) {
-            if let Some(a) = a {
-                assert_eq!(Some(a), b.as_ref());
-            }
-        }
-        assert!(partial.modeled_seconds(&tm) < full_s);
-    }
-
-    #[test]
     fn knn_of_identical_point_is_itself() {
         let refs = PointSet::uniform(50, 8, 103);
         // Query = reference 17 exactly.
@@ -1245,271 +800,5 @@ mod tests {
         let res = search(&q, &refs, SearchPlan::new(3));
         assert_eq!(res[0][0].id, 17);
         assert_eq!(res[0][0].dist, 0.0);
-    }
-
-    #[test]
-    fn traced_pipeline_emits_balanced_monotonic_spans() {
-        let tm = TimingModel::tesla_c2075();
-        let queries = PointSet::uniform(40, 8, 106);
-        let refs = PointSet::uniform(512, 8, 107);
-        let cfg = SelectConfig::optimized(QueueKind::Merge, 16);
-        let mut tracer = trace::Tracer::new();
-        let res = gpu_knn_traced(&tm, &queries, &refs, &cfg, &mut tracer);
-        assert_eq!(res.neighbors.len(), 40);
-        assert!(tracer.is_balanced(), "every opened span must close");
-        let ts: Vec<f64> = tracer.events().iter().map(|e| e.ts_us).collect();
-        assert!(
-            ts.windows(2).all(|w| w[0] <= w[1]),
-            "simulated timestamps must be monotonic"
-        );
-        // the pipeline covers the full modelled duration
-        assert!(tracer.clock_s() >= res.distance_time + res.select_time);
-        let names: Vec<&str> = tracer.events().iter().map(|e| e.name.as_str()).collect();
-        for expected in [
-            "gpu_knn",
-            "distance",
-            "transfer.upload",
-            "select",
-            "gpu_select_k",
-        ] {
-            assert!(names.contains(&expected), "missing span {expected}");
-        }
-        // optimized config uses HP ⇒ build span + per-warp lanes appear
-        assert!(names.contains(&"hp_build"));
-        assert!(names.iter().any(|n| n.starts_with("select.warp")));
-    }
-
-    #[cfg(feature = "trace")]
-    #[test]
-    fn traced_pipeline_collects_kernel_counters() {
-        let tm = TimingModel::tesla_c2075();
-        let queries = PointSet::uniform(32, 8, 108);
-        let refs = PointSet::uniform(400, 8, 109);
-        let cfg = SelectConfig::optimized(QueueKind::Merge, 16);
-        let mut tracer = trace::Tracer::new();
-        let res = gpu_knn_traced(&tm, &queries, &refs, &cfg, &mut tracer);
-        assert!(res.counters.queue_inserts > 0);
-        assert_eq!(
-            tracer.counters().get(trace::names::QUEUE_INSERT),
-            res.counters.queue_inserts
-        );
-    }
-
-    #[test]
-    fn resilient_pipeline_validates_inputs() {
-        let tm = TimingModel::tesla_c2075();
-        let refs = PointSet::uniform(64, 8, 110);
-        let good = PointSet::uniform(4, 8, 111);
-        let res = GpuResilience::default();
-        let cfg = SelectConfig::plain(QueueKind::Heap, 8);
-
-        let empty = PointSet::from_flat(vec![], 8);
-        let err = gpu_knn_resilient(&tm, &empty, &refs, &cfg, &res).unwrap_err();
-        assert_eq!(err.name(), "empty-input");
-
-        let mut bad = good.as_flat().to_vec();
-        bad[2 * 8 + 3] = f32::NAN;
-        let nan_query = PointSet::from_flat(bad, 8);
-        let err = gpu_knn_resilient(&tm, &nan_query, &refs, &cfg, &res).unwrap_err();
-        assert_eq!(
-            err,
-            KnnError::NonFiniteInput {
-                kind: "query",
-                index: 2
-            }
-        );
-
-        let mut bad = refs.as_flat().to_vec();
-        bad[7 * 8] = f32::INFINITY;
-        let inf_refs = PointSet::from_flat(bad, 8);
-        let err = gpu_knn_resilient(&tm, &good, &inf_refs, &cfg, &res).unwrap_err();
-        assert_eq!(
-            err,
-            KnnError::NonFiniteInput {
-                kind: "reference",
-                index: 7
-            }
-        );
-
-        let err = gpu_knn_resilient(
-            &tm,
-            &good,
-            &refs,
-            &SelectConfig::plain(QueueKind::Heap, 0),
-            &res,
-        )
-        .unwrap_err();
-        assert_eq!(err.name(), "invalid-k");
-        let err = gpu_knn_resilient(
-            &tm,
-            &good,
-            &refs,
-            &SelectConfig::plain(QueueKind::Heap, 65),
-            &res,
-        )
-        .unwrap_err();
-        assert_eq!(err, KnnError::InvalidK { k: 65, n: 64 });
-    }
-
-    #[test]
-    fn resilient_pipeline_matches_plain_when_fault_free() {
-        let tm = TimingModel::tesla_c2075();
-        let queries = PointSet::uniform(40, 16, 112);
-        let refs = PointSet::uniform(300, 16, 113);
-        let cfg = SelectConfig::optimized(QueueKind::Merge, 8);
-        let plain = gpu_knn(&tm, &queries, &refs, &cfg);
-        let out = gpu_knn_resilient(&tm, &queries, &refs, &cfg, &GpuResilience::default()).unwrap();
-        assert_eq!(out.select_metrics, plain.select_metrics);
-        assert_eq!(out.select_time, plain.select_time);
-        assert_eq!(out.distance_time, plain.distance_time);
-        assert_eq!(out.wasted_metrics, Metrics::new());
-        for (qi, got) in out.neighbors.iter().enumerate() {
-            assert_eq!(got.as_deref(), Some(&plain.neighbors[qi][..]));
-        }
-        assert_eq!(out.report.ok_count(), 40);
-        assert_eq!(out.upload.attempts, 1);
-        assert!(out.upload.seconds > 0.0);
-    }
-
-    #[test]
-    fn pcie_stalls_surface_in_the_report_without_kernel_hooks() {
-        // A PCIe-only plan needs no kernel instrumentation, so this runs
-        // (and must behave identically) with or without the `fault`
-        // feature: the upload stalls, costs extra simulated time, and the
-        // stall is counted — but every query still gets the exact result.
-        let tm = TimingModel::tesla_c2075();
-        let queries = PointSet::uniform(8, 8, 114);
-        let refs = PointSet::uniform(128, 8, 115);
-        let cfg = SelectConfig::plain(QueueKind::Merge, 8);
-        let res =
-            GpuResilience::default().with_faults(simt::FaultPlan::seeded(9).with_pcie(1.0, 0.0));
-        let out = gpu_knn_resilient(&tm, &queries, &refs, &cfg, &res).unwrap();
-        assert_eq!(out.report.counters.pcie_stalls, 1);
-        assert_eq!(out.report.counters.pcie_corruptions, 0);
-        let clean = gpu_knn_resilient(&tm, &queries, &refs, &cfg, &GpuResilience::default())
-            .unwrap()
-            .upload
-            .seconds;
-        assert!(out.upload.seconds > clean, "a stall costs link time");
-        assert_eq!(out.report.ok_count(), 8);
-    }
-
-    #[test]
-    fn persistent_pcie_corruption_is_a_typed_error() {
-        let tm = TimingModel::tesla_c2075();
-        let queries = PointSet::uniform(4, 8, 116);
-        let refs = PointSet::uniform(64, 8, 117);
-        let cfg = SelectConfig::plain(QueueKind::Heap, 8);
-        let res = GpuResilience {
-            max_attempts: 3,
-            ..GpuResilience::default()
-        }
-        .with_faults(simt::FaultPlan::seeded(10).with_pcie(0.0, 1.0));
-        let err = gpu_knn_resilient(&tm, &queries, &refs, &cfg, &res).unwrap_err();
-        assert_eq!(err, KnnError::TransferFailed { attempts: 3 });
-    }
-
-    #[test]
-    fn journaled_resilient_pipeline_is_transparent_and_attributes_time() {
-        let tm = TimingModel::tesla_c2075();
-        let queries = PointSet::uniform(24, 8, 121);
-        let refs = PointSet::uniform(200, 8, 122);
-        let cfg = SelectConfig::plain(QueueKind::Merge, 8);
-        let res = GpuResilience::default();
-        // NullJournal: identical result, nothing recorded
-        let plain = gpu_knn_resilient(&tm, &queries, &refs, &cfg, &res).unwrap();
-        let nulled =
-            gpu_knn_resilient_journaled(&tm, &queries, &refs, &cfg, &res, &trace::NullJournal, "x")
-                .unwrap();
-        assert_eq!(nulled.select_time, plain.select_time);
-        assert_eq!(nulled.neighbors.len(), plain.neighbors.len());
-        // EventJournal: one record per query, simulated time attributed
-        let journal = trace::EventJournal::new(trace::JournalConfig::default());
-        let out =
-            gpu_knn_resilient_journaled(&tm, &queries, &refs, &cfg, &res, &journal, "campaign")
-                .unwrap();
-        let snap = journal.snapshot();
-        assert_eq!(snap.len(), 24);
-        let attributed: u64 = snap.iter().map(|r| r.total_ns).sum();
-        let modelled = ((out.distance_time + out.select_time) * 1e9) as u64;
-        let drift = attributed.abs_diff(modelled);
-        assert!(
-            drift <= 24 * 2, // one truncated ns per phase per query
-            "attribution must sum back to the modelled total: {attributed} vs {modelled}"
-        );
-        let expected_dominant = if out.select_time >= out.distance_time {
-            "select"
-        } else {
-            "distance"
-        };
-        for r in &snap {
-            assert_eq!(r.status, "ok");
-            assert_eq!(r.attempts, 1);
-            assert_eq!(r.queue, "merge");
-            assert_eq!(r.tag, "campaign");
-            assert_eq!(r.dominant_phase().map(|(p, _)| p), Some(expected_dominant));
-        }
-    }
-
-    #[cfg(feature = "fault")]
-    #[test]
-    fn journaled_fault_campaign_surfaces_retries_as_exemplars() {
-        let tm = TimingModel::tesla_c2075();
-        let queries = PointSet::uniform(96, 8, 123);
-        let refs = PointSet::uniform(256, 8, 124);
-        let cfg = SelectConfig::plain(QueueKind::Merge, 8);
-        let res =
-            GpuResilience::default().with_faults(simt::FaultPlan::seeded(102).with_aborts(0.9));
-        let journal = trace::EventJournal::new(trace::JournalConfig {
-            exemplars: 4,
-            ..trace::JournalConfig::default()
-        });
-        gpu_knn_resilient_journaled(&tm, &queries, &refs, &cfg, &res, &journal, "seed41").unwrap();
-        let snap = journal.snapshot();
-        let retried: Vec<&trace::QueryRecord> = snap.iter().filter(|r| r.attempts > 1).collect();
-        assert!(!retried.is_empty(), "a 30% abort rate must retry something");
-        for r in &retried {
-            assert_ne!(r.status, "ok");
-            assert!(
-                r.phase_ns
-                    .iter()
-                    .any(|(p, _)| p == "backoff" || p == "fallback"),
-                "retried query must carry recovery phases: {r:?}"
-            );
-        }
-        // exemplars (slowest queries) are exactly where the retries are
-        let exemplar_min = snap
-            .iter()
-            .filter(|r| r.exemplar)
-            .map(|r| r.total_ns)
-            .min()
-            .unwrap();
-        let clean_max = snap
-            .iter()
-            .filter(|r| r.attempts == 1)
-            .map(|r| r.total_ns)
-            .max()
-            .unwrap();
-        assert!(
-            exemplar_min >= clean_max,
-            "retried queries must dominate the exemplar set"
-        );
-    }
-
-    #[test]
-    fn simulated_times_are_positive_and_split() {
-        let tm = TimingModel::tesla_c2075();
-        let queries = PointSet::uniform(32, 8, 104);
-        let refs = PointSet::uniform(256, 8, 105);
-        let r = gpu_knn(
-            &tm,
-            &queries,
-            &refs,
-            &SelectConfig::plain(QueueKind::Heap, 8),
-        );
-        assert!(r.select_time > 0.0);
-        assert!(r.distance_time > 0.0);
-        assert!(r.select_metrics.issued > 0);
-        assert!(r.distance_metrics.issued > 0);
     }
 }

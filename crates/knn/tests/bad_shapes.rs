@@ -3,14 +3,46 @@
 //! Every public search entry gets generated bad shapes: an empty
 //! reference set, k of 0 or of N + 1, queries whose dimension differs
 //! from the references', and a zero tile. `Index::new`,
-//! `Index::search`, the metered entry and `gpu_knn_resilient` must
-//! each return the named `KnnError`; a panic fails the test.
+//! `Index::search` and the metered entry must each return the named
+//! `KnnError`; a panic fails the test. The simulated `gpu_knn` gets
+//! the shapes that apply to it, plus a Merge k that is not m·2^j, a
+//! Hierarchical Partition group of one, an empty candidate buffer and
+//! one past shared memory, three ways: with no hooks, with
+//! a tracer and a journal, and under a deadline. A failed call leaves
+//! the tracer without events and the journal without records.
 
-use knn::{gpu_knn_resilient, Hooks, Index, PointSet, SearchPlan};
-use kselect::gpu::GpuResilience;
+use knn::{gpu_knn, GpuHooks, GpuPlan, Hooks, Index, PointSet, SearchPlan};
+use kselect::buffered::BufferConfig;
+use kselect::hierarchical::HpConfig;
 use kselect::{KnnError, QueueKind, SelectConfig};
 use proptest::prelude::*;
 use simt::TimingModel;
+
+/// `gpu_knn` of `qs` × `rs` under `select`, run with no hooks, with a
+/// tracer and a journal, and under a deadline: the error each run
+/// returns, asserted equal across the three, with nothing recorded.
+fn gpu_error(qs: &PointSet, rs: &PointSet, select: SelectConfig) -> KnnError {
+    let tm = TimingModel::tesla_c2075();
+    let plan = GpuPlan::new(select);
+    let plain = gpu_knn(&tm, qs, rs, &plan, GpuHooks::NONE).unwrap_err();
+
+    let mut tracer = trace::Tracer::new();
+    let journal = trace::EventJournal::new(trace::JournalConfig::default());
+    let hooks = GpuHooks::NONE
+        .with_tracer(&mut tracer)
+        .with_journal(&journal, "bad");
+    let hooked = gpu_knn(&tm, qs, rs, &plan, hooks).unwrap_err();
+    assert!(tracer.events().is_empty(), "a failed call traces nothing");
+    assert!(
+        journal.snapshot().is_empty(),
+        "a failed call journals nothing"
+    );
+
+    let bounded = gpu_knn(&tm, qs, rs, &plan.with_budget(1e9), GpuHooks::NONE).unwrap_err();
+    assert_eq!(hooked, plain);
+    assert_eq!(bounded, plain);
+    plain
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -64,43 +96,46 @@ proptest! {
             }
         }
 
-        let tm = TimingModel::tesla_c2075();
-        let res = GpuResilience::default();
         let gq = PointSet::uniform(q.max(1), dim, seed ^ 3);
-        let gpu = |qs: &PointSet, rs: &PointSet, k: usize| {
-            let cfg = SelectConfig::plain(QueueKind::Heap, k);
-            gpu_knn_resilient(&tm, qs, rs, &cfg, &res).map(|r| r.neighbors)
+        let heap = |k| SelectConfig::plain(QueueKind::Heap, k);
+        // k below the Merge Queue's level-0 size m = 8 is never m·2^j.
+        let merge = SelectConfig::plain(QueueKind::Merge, n.min(7));
+        let buffer = |size| {
+            heap(1).with_buffer(BufferConfig { size, sorted: false, intra_warp: true })
         };
-        prop_assert_eq!(gpu(&gq, &empty, 1).unwrap_err(), KnnError::EmptyInput { what: "reference" });
-        prop_assert_eq!(gpu(&gq, &refs, 0).unwrap_err().name(), "invalid-k");
-        prop_assert_eq!(gpu(&gq, &refs, n + 1).unwrap_err(), KnnError::InvalidK { k: n + 1, n });
-        prop_assert_eq!(
-            gpu(&wide, &refs, 1).unwrap_err(),
-            KnnError::DimMismatch { queries: dim + 1, refs: dim }
-        );
+        let one_group = SelectConfig { hp: Some(HpConfig { g: 1 }), ..heap(1) };
+        let limit = TimingModel::tesla_c2075().spec.shared_mem_bytes;
+        let gpu_bad = [
+            (&gq, &empty, heap(1), KnnError::EmptyInput { what: "reference" }),
+            (&gq, &refs, heap(0), KnnError::InvalidK { k: 0, n }),
+            (&gq, &refs, heap(n + 1), KnnError::InvalidK { k: n + 1, n }),
+            (&wide, &refs, heap(1), KnnError::DimMismatch { queries: dim + 1, refs: dim }),
+            (&gq, &refs, merge, KnnError::MergeShape { k: n.min(7), m: 8 }),
+            (
+                &gq,
+                &refs,
+                buffer(1 << 20),
+                KnnError::BufferTooLarge { bytes: (1 << 20) * 32 * 8 + 4, limit },
+            ),
+            (
+                &gq,
+                &refs,
+                one_group,
+                KnnError::InvalidParam {
+                    what: "hierarchical partition group size",
+                    value: 1,
+                    min: 2,
+                },
+            ),
+            (
+                &gq,
+                &refs,
+                buffer(0),
+                KnnError::InvalidParam { what: "buffer size", value: 0, min: 1 },
+            ),
+        ];
+        for (qs, rs, select, want) in gpu_bad {
+            prop_assert_eq!(gpu_error(qs, rs, select), want);
+        }
     }
-}
-
-/// Each checked simulated entry returns the dimension mismatch, and the
-/// journaled one records nothing.
-#[test]
-fn resilient_entries_return_dim_mismatch() {
-    use knn::{gpu_knn_resilient_deadline, gpu_knn_resilient_journaled};
-    let tm = TimingModel::tesla_c2075();
-    let queries = PointSet::uniform(4, 6, 125);
-    let refs = PointSet::uniform(64, 8, 126);
-    let cfg = SelectConfig::plain(QueueKind::Heap, 8);
-    let res = GpuResilience::default();
-    let want = KnnError::DimMismatch {
-        queries: 6,
-        refs: 8,
-    };
-    let plain = gpu_knn_resilient(&tm, &queries, &refs, &cfg, &res);
-    assert_eq!(plain.unwrap_err(), want);
-    let bounded = gpu_knn_resilient_deadline(&tm, &queries, &refs, &cfg, &res, 1e9);
-    assert_eq!(bounded.unwrap_err(), want);
-    let journal = trace::EventJournal::new(trace::JournalConfig::default());
-    let journaled = gpu_knn_resilient_journaled(&tm, &queries, &refs, &cfg, &res, &journal, "dims");
-    assert_eq!(journaled.unwrap_err(), want);
-    assert!(journal.snapshot().is_empty());
 }

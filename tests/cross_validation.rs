@@ -179,9 +179,15 @@ fn native_and_gpu_pipelines_agree_end_to_end() {
     let native = index.search(&queries, &SearchPlan::new(8), Hooks::NONE);
     let native = native.unwrap();
     let tm = TimingModel::tesla_c2075();
-    let sim = knn::gpu_knn(&tm, &queries, &refs, &cfg);
+    let plan = knn::GpuPlan::new(cfg);
+    let sim = knn::gpu_knn(&tm, &queries, &refs, &plan, knn::GpuHooks::NONE).unwrap();
+    // Every answer must come from a clean first kernel attempt: a result
+    // the default plan's retry or host fallback supplied would hide a
+    // wrong kernel behind the equality below.
+    assert_eq!(sim.report.ok_count(), queries.len(), "{:?}", sim.report);
+    assert_eq!(sim.neighbors.len(), native.len());
     for (a, b) in native.iter().zip(&sim.neighbors) {
-        assert_eq!(dists_of(a), dists_of(b));
+        assert_eq!(Some(dists_of(a)), b.as_deref().map(dists_of));
     }
 }
 

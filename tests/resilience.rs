@@ -1,8 +1,8 @@
 //! Cross-crate resilience properties of the end-to-end pipeline.
 //!
 //! The central contract, checked here property-style over arbitrary
-//! seeded fault campaigns: `gpu_knn_resilient` either delivers exactly
-//! the fault-free top-k for a query or reports an explicit, named
+//! seeded fault campaigns: `gpu_knn` either delivers exactly the
+//! fault-free top-k for a query or reports an explicit, named
 //! per-query (or whole-request) error — **never** a silently corrupted
 //! result. And the whole thing is deterministic: the same fault seed
 //! replays to a byte-identical report.
@@ -11,8 +11,10 @@
 //! `fault` feature is on and must be *rejected by name* when it is off;
 //! PCIe-fault campaigns work either way.
 
-use gpu_kselect::knn::{gpu_knn, gpu_knn_resilient, PointSet};
-use gpu_kselect::kselect::gpu::{GpuResilience, QueryStatus};
+use gpu_kselect::knn::{block, gpu_knn, GpuHooks, GpuKnnResult, GpuPlan, PointSet};
+use gpu_kselect::kselect::gpu::{
+    gpu_select_k, DistanceMatrix, GpuResilience, GpuSelectResult, QueryStatus,
+};
 use gpu_kselect::kselect::KnnError;
 use gpu_kselect::prelude::*;
 use proptest::prelude::*;
@@ -24,6 +26,26 @@ fn queue_of(tag: u8) -> QueueKind {
         1 => QueueKind::Heap,
         _ => QueueKind::Insertion,
     }
+}
+
+/// `gpu_knn` of `queries` × `refs` under `cfg` and `res`, no hooks.
+fn resilient(
+    queries: &PointSet,
+    refs: &PointSet,
+    cfg: SelectConfig,
+    res: GpuResilience,
+) -> Result<GpuKnnResult, KnnError> {
+    let tm = TimingModel::tesla_c2075();
+    let plan = GpuPlan::new(cfg).with_resilience(res);
+    gpu_knn(&tm, queries, refs, &plan, GpuHooks::NONE)
+}
+
+/// The fault-free oracle, independent of the pipeline under test: the
+/// plain kernel launch on the natively computed matrix.
+fn fault_free(queries: &PointSet, refs: &PointSet, cfg: &SelectConfig) -> GpuSelectResult {
+    let fm = block::squared_distances(queries, refs);
+    let dm = DistanceMatrix::from_row_major(fm.as_slice(), fm.q(), fm.n());
+    gpu_select_k(&TimingModel::tesla_c2075().spec, &dm, cfg)
 }
 
 proptest! {
@@ -52,13 +74,12 @@ proptest! {
             .with_pcie(f64::from(pcie_stall) / 1000.0, f64::from(pcie_corrupt) / 1000.0);
         let queue = queue_of(queue_tag);
         let cfg = SelectConfig::optimized(queue, 8);
-        let tm = TimingModel::tesla_c2075();
         let queries = PointSet::uniform(q, 8, seed ^ 1);
         let refs = PointSet::uniform(n, 8, seed ^ 2);
         let res = GpuResilience { max_attempts: attempts, fallback, ..GpuResilience::default() }
             .with_faults(plan);
 
-        match gpu_knn_resilient(&tm, &queries, &refs, &cfg, &res) {
+        match resilient(&queries, &refs, cfg, res) {
             Err(KnnError::FaultsNotCompiled) => {
                 // Only acceptable when the plan needs kernel hooks the
                 // build lacks — never a silent no-op.
@@ -73,7 +94,7 @@ proptest! {
             }
             Err(e) => prop_assert!(false, "unexpected error: {e}"),
             Ok(out) => {
-                let oracle = gpu_knn(&tm, &queries, &refs, &cfg);
+                let oracle = fault_free(&queries, &refs, &cfg);
                 prop_assert_eq!(out.neighbors.len(), q);
                 for (qi, got) in out.neighbors.iter().enumerate() {
                     match got {
@@ -117,12 +138,11 @@ proptest! {
             return Ok(());
         }
         let cfg = SelectConfig::optimized(queue_of(queue_tag), 16);
-        let tm = TimingModel::tesla_c2075();
         let queries = PointSet::uniform(40, 8, seed ^ 3);
         let refs = PointSet::uniform(200, 8, seed ^ 4);
         let res = GpuResilience { max_attempts: 5, ..GpuResilience::default() }
             .with_faults(plan);
-        let run = || gpu_knn_resilient(&tm, &queries, &refs, &cfg, &res);
+        let run = || resilient(&queries, &refs, cfg, res);
         match (run(), run()) {
             (Ok(a), Ok(b)) => {
                 prop_assert_eq!(format!("{:?}", a.report), format!("{:?}", b.report));
@@ -143,12 +163,11 @@ proptest! {
 #[test]
 fn pcie_only_campaign_is_build_independent() {
     let plan = FaultPlan::seeded(12345).with_pcie(0.6, 0.3);
-    let tm = TimingModel::tesla_c2075();
     let queries = PointSet::uniform(16, 8, 1);
     let refs = PointSet::uniform(128, 8, 2);
     let cfg = SelectConfig::optimized(QueueKind::Merge, 8);
     let res = GpuResilience::default().with_faults(plan);
-    let out = gpu_knn_resilient(&tm, &queries, &refs, &cfg, &res).unwrap();
+    let out = resilient(&queries, &refs, cfg, res).unwrap();
     assert!(out.report.statuses.iter().all(|s| *s == QueryStatus::Ok));
     // Deterministic: these totals are a regression pin, not a sample.
     let c = &out.report.counters;
@@ -158,6 +177,6 @@ fn pcie_only_campaign_is_build_independent() {
         "upload report and counters must agree: {c:?} vs {:?}",
         out.upload
     );
-    let again = gpu_knn_resilient(&tm, &queries, &refs, &cfg, &res).unwrap();
+    let again = resilient(&queries, &refs, cfg, res).unwrap();
     assert_eq!(format!("{:?}", again.report), format!("{:?}", out.report));
 }
